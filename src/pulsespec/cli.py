@@ -3,7 +3,8 @@
 Configuration comes from command-line flags, optionally layered on top of a
 plain ``key=value`` file (``#`` comments allowed); flags win. Results go to
 a CSV (one row per frequency) with a ``<output>.meta`` sidecar recording
-every resolved parameter, and optionally a gnuplot script.
+every resolved parameter, the kernel method and the warnings raised, and
+optionally a gnuplot script. ``python -m pulsespec`` runs the same front-end.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +80,8 @@ class RunConfig:
         if not self.output_path:
             raise ConfigError("output: required")
         if self.average_deltas is not None:
+            if not np.all(np.isfinite(self.average_deltas)):
+                raise ConfigError("average_deltas: values must be finite")
             weights = [w for _, w in self.average_deltas]
             if any(w < 0 for w in weights):
                 raise ConfigError("average_deltas: weights must be nonnegative")
@@ -85,6 +89,11 @@ class RunConfig:
                 raise ConfigError(
                     f"average_deltas: weights must sum to 1, got {sum(weights)}"
                 )
+        try:
+            self.build_schedule()
+            self.build_params()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def build_schedule(self) -> PulseSchedule:
         if self.protocol == "none":
@@ -237,7 +246,7 @@ def _write_csv(path: str, spec: SpectrumResult) -> None:
 
 
 def _write_metadata(path: str, config: RunConfig, spec: SpectrumResult,
-                    sum_rule: tuple[float, float] | None) -> None:
+                    sum_rule: tuple[float, float] | None, notes: list[str]) -> None:
     lines = [
         f"protocol={config.protocol}",
         f"delta={config.delta:.17g}",
@@ -256,6 +265,8 @@ def _write_metadata(path: str, config: RunConfig, spec: SpectrumResult,
     if sum_rule is not None:
         lines.append(f"sum_rule_lhs={sum_rule[0]:.17g}")
         lines.append(f"sum_rule_rhs={sum_rule[1]:.17g}")
+    lines.append("kernel_method=fft")
+    lines.append(f"warnings={' | '.join(notes)}")
     with open(path, "w", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -284,34 +295,37 @@ def _write_plot_script(path: str, csv_path: str, observable: str) -> None:
 
 
 def run(config: RunConfig) -> SpectrumResult:
-    """Execute the configured pipeline and write the output files."""
+    """Execute the pipeline and write the outputs; warnings go to stderr and .meta."""
     config.validate()
     schedule = config.build_schedule()
     params = config.build_params()
 
-    if config.average_deltas is not None:
-        deltas = np.array([d for d, _ in config.average_deltas])
-        weights = np.array([w for _, w in config.average_deltas])
-        spec = detuning_average(schedule, params, deltas, weights)
-        sum_rule = None
-    else:
-        kernel = accumulate_kernel(schedule, params)
-        spec = spectrum_from_kernel(kernel, params.omega_grid)
-        try:
-            sum_rule = emission_sum_rule(spec, kernel)
-        except ValueError:
-            sum_rule = None  # grid outside the sum rule's validity
-        if sum_rule is not None and sum_rule[1] != 0.0:
-            deviation = abs(sum_rule[0] / sum_rule[1] - 1.0)
-            if deviation > 0.10:
-                print(
-                    f"warning: emission sum rule off by {deviation:.1%} "
-                    f"(lhs={sum_rule[0]:.6g}, rhs={sum_rule[1]:.6g})",
-                    file=sys.stderr,
-                )
+    sum_rule = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if config.average_deltas is not None:
+            deltas = np.array([d for d, _ in config.average_deltas])
+            weights = np.array([w for _, w in config.average_deltas])
+            spec = detuning_average(schedule, params, deltas, weights)
+        else:
+            kernel = accumulate_kernel(schedule, params)
+            spec = spectrum_from_kernel(kernel, params.omega_grid)
+            try:
+                sum_rule = emission_sum_rule(spec, kernel)
+            except ValueError:
+                pass  # grid outside the sum rule's validity
+    notes = [str(w.message) for w in caught]
+    if sum_rule is not None and sum_rule[1] != 0.0:
+        deviation = abs(sum_rule[0] / sum_rule[1] - 1.0)
+        if deviation > 0.10:
+            notes.append(f"emission sum rule off by {deviation:.1%} "
+                         f"(lhs={sum_rule[0]:.6g}, rhs={sum_rule[1]:.6g})")
+    notes = list(dict.fromkeys(notes))
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
 
     _write_csv(config.output_path, spec)
-    _write_metadata(config.output_path + ".meta", config, spec, sum_rule)
+    _write_metadata(config.output_path + ".meta", config, spec, sum_rule, notes)
     if config.plot_script:
         _write_plot_script(config.plot_script, config.output_path,
                            config.observable)

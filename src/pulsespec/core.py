@@ -2,13 +2,13 @@
 
 Everything lives in the two-dimensional {|e>, |g>} basis. Operators are kept
 as four explicit complex matrix elements rather than a generic matrix type:
-the equations of motion are written per element and the correlation kernel
-reduction touches these elements in its innermost loop.
+the equations of motion and the pulse maps are written per element.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -112,21 +112,21 @@ class PulseEvent:
 class PulseSchedule:
     """Ordered instantaneous-pulse events over an observation window [0, T].
 
-    Invariants: event times strictly increasing, all within (0, window_end].
+    Invariants: finite event times, strictly increasing, in (0, window_end].
     """
 
     events: tuple[PulseEvent, ...]
     window_end: float
 
     def __post_init__(self):
-        if self.window_end <= 0:
-            raise ValueError("window_end must be positive")
+        if not 0 < self.window_end < math.inf:
+            raise ValueError("window_end must be positive and finite")
         prev = 0.0
         for ev in self.events:
-            if ev.time <= prev:
+            if not prev < ev.time < math.inf:
                 raise ValueError(
-                    f"pulse times must be strictly increasing and positive; "
-                    f"got {ev.time} after {prev}"
+                    f"pulse times must be finite, positive and strictly "
+                    f"increasing; got {ev.time} after {prev}"
                 )
             prev = ev.time
         if self.events and self.events[-1].time > self.window_end * (1 + 1e-12):
@@ -160,7 +160,7 @@ class PulseSchedule:
 
 @dataclass(frozen=True)
 class SimParams:
-    """Physical and numerical parameters of one simulation run.
+    """Physical and numerical parameters of one simulation run, all finite.
 
     delta      detuning of the emitter from the pulse carrier (rotating frame)
     gamma      spontaneous emission rate (> 0); the natural unit choice is 2
@@ -176,20 +176,19 @@ class SimParams:
     omega_grid: np.ndarray = field(default_factory=lambda: default_omega_grid())
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not math.isfinite(self.delta):
+            raise ValueError("delta must be finite")
+        for name in ("gamma", "t_end", "dt"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         n = round(self.t_end / self.dt)
         if n < 1 or abs(n * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ValueError(
                 f"t_end={self.t_end} is not an integer multiple of dt={self.dt}"
             )
         grid = np.asarray(self.omega_grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0:
-            raise ValueError("omega_grid must be a nonempty 1-d array")
+        if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
+            raise ValueError("omega_grid must be a nonempty finite 1-d array")
         if grid.size > 1 and np.any(np.diff(grid) <= 0):
             raise ValueError("omega_grid must be strictly increasing")
         grid.flags.writeable = False
@@ -227,8 +226,8 @@ class SimParams:
 def default_omega_grid(omega_min: float = -40.0, omega_max: float = 40.0,
                        step: float = 0.025) -> np.ndarray:
     """Detector-frequency grid covering every lineshape in the studied protocols."""
-    if step <= 0 or omega_max <= omega_min:
-        raise ValueError("need omega_max > omega_min and step > 0")
+    if not (0 < step < math.inf and -math.inf < omega_min < omega_max < math.inf):
+        raise ValueError("need finite omega_max > omega_min and step > 0")
     n = round((omega_max - omega_min) / step)
     if abs(omega_min + n * step - omega_max) > 1e-9 * max(1.0, abs(omega_max)):
         raise ValueError("omega range is not an integer number of steps")

@@ -1,4 +1,4 @@
-"""Two-time correlators via the regression recipe, reduced over the triangle.
+"""Two-time correlators via the regression recipe, reduced to theta kernels.
 
 The emission and absorption integrands are C1(t, theta) = <s+(t+theta) s-(t)>
 and C2(t, theta) = <s-(t) s+(t+theta)>. Each is obtained by seeding a
@@ -11,12 +11,15 @@ t-integration happen first, so only the theta-indexed kernels
 
 are ever stored, never the full (t, theta) grid.
 
-``correlator_row`` computes one t-row at a time (the reference path);
-``accumulate_kernel`` advances all rows together in absolute time s = t +
-theta, which turns the reduction into array operations: at each grid time
-s_m the active rows hold the antidiagonal {C(t_k, theta_{m-k})}, which is
-weighted and added into the kernels in one shot. The two paths produce the
-same numbers and check each other in the tests.
+``correlator_row`` computes one t-row at a time (the reference path).
+``accumulate_kernel`` works in the toggling frame instead. The coherences of
+rho stay zero, so both seeds are pure coherences (ge = rho_ee, resp. rho_gg)
+evolving under the monomial coherence map M of ``dynamics.GridState``. So
+C1 = rho_ee(t) K and C2 = rho_gg(t) K, K(t, theta) = [M(t+theta) M(t)^-1]_ge,ge,
+and each t-sum is a cross-correlation per coherence column, done with FFTs
+in O(N log N). The decay e^{theta*rate} is an envelope taken out first, so
+the FFT operands have modulus near one and long windows keep full
+precision. The two paths agree to rounding and check each other in tests.
 """
 
 from __future__ import annotations
@@ -25,20 +28,13 @@ import numpy as np
 
 from .core import (
     CorrelationKernel,
-    PulseAxis,
     PulseSchedule,
     SimParams,
     TwoLevelOperator,
     left_mul_sigma_minus,
     right_mul_sigma_minus,
 )
-from .dynamics import (
-    TIME_SNAP,
-    _pieces,
-    density_trajectory,
-    evolve_operator,
-    step_multipliers,
-)
+from .dynamics import TIME_SNAP, evolve_operator, grid_state
 
 
 def correlator_row(t_seed: float, rho_at_seed: TwoLevelOperator,
@@ -73,103 +69,35 @@ def correlator_row(t_seed: float, rho_at_seed: TwoLevelOperator,
     return c1, c2
 
 
-def _batch_pulse(axis: PulseAxis, ee, eg, ge, gg, sl: slice) -> None:
-    """Apply sigma_i . sigma_i in place to the active slice of a row batch."""
-    if axis is PulseAxis.X:
-        tmp = ee[sl].copy()
-        ee[sl] = gg[sl]
-        gg[sl] = tmp
-        tmp = eg[sl].copy()
-        eg[sl] = ge[sl]
-        ge[sl] = tmp
-    elif axis is PulseAxis.Y:
-        tmp = ee[sl].copy()
-        ee[sl] = gg[sl]
-        gg[sl] = tmp
-        tmp = eg[sl].copy()
-        eg[sl] = -ge[sl]
-        ge[sl] = -tmp
-    elif axis is PulseAxis.Z:
-        eg[sl] *= -1.0
-        ge[sl] *= -1.0
-    else:
-        raise ValueError(f"unknown pulse axis {axis!r}")
-
-
 def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
                       stepper: str = "rk4") -> CorrelationKernel:
     """Reduce both correlators to their theta kernels G1, G2.
 
-    One regression row is seeded per t-grid point from the density-matrix
-    trajectory and all rows advance together in absolute time; row k only
-    contributes to theta indices 0..N-k (the integration triangle). The
-    t-quadrature uses trapezoidal row weights: dt/2 for the rows seeded at
-    t = 0 and t = T, dt for the rest. The reduction order is fixed, so
-    repeated runs are bit-identical.
+    G[j] = sum_k w_k C(t_k, theta_j) over the rows k = 0..N-j (the
+    integration triangle), with trapezoidal row weights: dt/2 for the rows
+    seeded at t = 0 and t = T, dt for the rest. For each family the sum is
+    two cross-correlations, one per coherence column, computed with
+    zero-padded FFTs; G(0) is the direct sum of the weighted populations, so
+    it is real. Repeated runs are bit-identical.
     """
     params.check_schedule(schedule)
-    traj = density_trajectory(schedule, params, stepper=stepper)
-    t_ee, t_eg, t_ge, t_gg = traj.element_arrays()
-    n = params.n_steps
-    dt = params.dt
-    grid = traj.t_grid
-    snap = TIME_SNAP * dt
-
-    # row batches for sigma_- rho (family 1) and rho sigma_- (family 2)
-    ee1 = np.zeros(n + 1, dtype=complex)
-    eg1 = np.zeros(n + 1, dtype=complex)
-    ge1 = np.zeros(n + 1, dtype=complex)
-    gg1 = np.zeros(n + 1, dtype=complex)
-    ee2 = np.zeros(n + 1, dtype=complex)
-    eg2 = np.zeros(n + 1, dtype=complex)
-    ge2 = np.zeros(n + 1, dtype=complex)
-    gg2 = np.zeros(n + 1, dtype=complex)
-
-    g1 = np.zeros(n + 1, dtype=complex)
-    g2 = np.zeros(n + 1, dtype=complex)
+    s = grid_state(schedule, params, stepper)
+    n, dt = params.n_steps, params.dt
     w = np.full(n + 1, dt)
     w[0] = w[-1] = 0.5 * dt
-
-    def _seed(m: int) -> None:
-        ge1[m] = t_ee[m]
-        gg1[m] = t_eg[m]
-        ee1[m] = eg1[m] = 0j
-        ee2[m] = t_eg[m]
-        ge2[m] = t_gg[m]
-        eg2[m] = gg2[m] = 0j
-
-    _seed(0)
-    g1[0] += w[0] * ge1[0]
-    g2[0] += w[0] * ge2[0]
-
-    for m in range(1, n + 1):
-        sl = slice(0, m)
-        for h, axis in _pieces(grid[m - 1], grid[m], schedule, snap):
-            if h > snap:
-                decay, phase = step_multipliers(h, params.delta, params.gamma,
-                                                stepper)
-                feed = 1.0 - decay
-                cphase = phase.conjugate()
-                gg1[sl] += feed * ee1[sl]
-                ee1[sl] *= decay
-                ge1[sl] *= phase
-                eg1[sl] *= cphase
-                gg2[sl] += feed * ee2[sl]
-                ee2[sl] *= decay
-                ge2[sl] *= phase
-                eg2[sl] *= cphase
-            if axis is not None:
-                _batch_pulse(axis, ee1, eg1, ge1, gg1, sl)
-                _batch_pulse(axis, ee2, eg2, ge2, gg2, sl)
-        _seed(m)
-        both = slice(0, m + 1)
-        g1[both] += (w[both] * ge1[both])[::-1]
-        g2[both] += (w[both] * ge2[both])[::-1]
-
+    later = np.stack([s.ge, s.eg.conj()])  # M[ge, c] e^{-k*rate}, c = ge, eg
+    seeds = np.stack([w * s.ee, w * s.gg])  # row weights of C1 and C2
+    # = seeds / conj(later), so conj(earlier[k]) * later[k + j] is
+    # w_k rho(t_k) K(t_k, theta_j) e^{-j*rate} on the column that is nonzero
+    earlier = seeds[:, None] * later / (np.abs(s.ge) + np.abs(s.eg)) ** 2
+    size = 1 << (2 * n).bit_length()  # >= 2n + 1, so nothing wraps around
+    both = np.fft.fft(earlier, size).conj() * np.fft.fft(later, size)
+    g = np.fft.ifft(both.sum(axis=1))[:, :n + 1] * np.exp(s.rate * np.arange(n + 1))
+    g[:, 0] = seeds.sum(axis=1)
     return CorrelationKernel(
-        theta_grid=grid,
-        g1=g1,
-        g2=g2,
+        theta_grid=params.time_grid(),
+        g1=g[0],
+        g2=g[1],
         params=params,
         schedule_digest=schedule.digest(),
     )

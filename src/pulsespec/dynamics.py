@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,24 +152,26 @@ def _step(op: TwoLevelOperator, h: float, params: SimParams,
     raise ValueError(f"unknown stepper {stepper!r}; use 'rk4' or 'exact'")
 
 
-def _pieces(t0: float, t1: float, schedule: PulseSchedule,
-            snap: float) -> list[tuple[float, PulseAxis | None]]:
-    """Split [t0, t1] at the pulse times inside it.
+def _advance(op: TwoLevelOperator, t0: float, t1: float, events,
+             params: SimParams, stepper: str) -> TwoLevelOperator:
+    """Evolve op over the lattice interval [t0, t1] and the pulses inside it.
 
-    Returns (duration, axis) pairs covering the interval in order; the axis,
-    when set, is the pulse to apply after integrating that piece. Pulses at
-    exactly t0 are excluded, pulses at exactly t1 included.
+    Each pulse in ``events`` that falls in the interval splits it, so the
+    pulse acts at its exact time. Pulses at exactly t0 are excluded, pulses
+    at exactly t1 included; times within TIME_SNAP*dt coincide.
     """
-    out: list[tuple[float, PulseAxis | None]] = []
+    snap = TIME_SNAP * params.dt
     cur = t0
-    for ev in schedule.events:
+    for ev in events:
         if ev.time <= t0 + snap or ev.time > t1 + snap:
             continue
-        out.append((max(ev.time - cur, 0.0), ev.axis))
+        if ev.time - cur > snap:
+            op = _step(op, ev.time - cur, params, stepper)
+        op = apply_pulse(op, ev.axis)
         cur = ev.time
     if t1 - cur > snap:
-        out.append((t1 - cur, None))
-    return out
+        op = _step(op, t1 - cur, params, stepper)
+    return op
 
 
 def evolve_operator(op: TwoLevelOperator, t_from: float, t_to: float,
@@ -226,11 +229,7 @@ def evolve_operator(op: TwoLevelOperator, t_from: float, t_to: float,
         lattice[-1] = t_to
 
     for a, b in zip(lattice[:-1], lattice[1:]):
-        for h, axis in _pieces(a, b, schedule, snap):
-            if h > snap:
-                op = _step(op, h, params, stepper)
-            if axis is not None:
-                op = apply_pulse(op, axis)
+        op = _advance(op, a, b, schedule.events, params, stepper)
         _maybe_record(b, op)
 
     if rec is not None:
@@ -255,20 +254,6 @@ class Trajectory:
         if len(self.states) != len(self.t_grid):
             raise ValueError("one state per grid point required")
 
-    def element_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The four matrix elements along the trajectory as complex arrays."""
-        n = len(self.states)
-        ee = np.empty(n, dtype=complex)
-        eg = np.empty(n, dtype=complex)
-        ge = np.empty(n, dtype=complex)
-        gg = np.empty(n, dtype=complex)
-        for i, s in enumerate(self.states):
-            ee[i] = s.ee
-            eg[i] = s.eg
-            ge[i] = s.ge
-            gg[i] = s.gg
-        return ee, eg, ge, gg
-
 
 def density_trajectory(schedule: PulseSchedule, params: SimParams,
                        stepper: str = "rk4") -> Trajectory:
@@ -283,3 +268,56 @@ def density_trajectory(schedule: PulseSchedule, params: SimParams,
         record_grid=grid, stepper=stepper,
     )
     return Trajectory(t_grid=grid, states=tuple(states))
+
+
+class GridState(NamedTuple):
+    """Populations ``ee``, ``gg`` and coherence map M on the grid t_k = k*dt.
+
+    From the excited start the coherences of rho stay zero. M(t) of [0, t]
+    acts on (ge, eg) and is monomial: free steps multiply ge by the phase p
+    and eg by conj(p), X and Y pulses swap the pair (Y with a sign), Z
+    negates both. ``ge``, ``eg`` hold M(t_k) e_ge / |p(dt)|^k: one is zero,
+    the other of modulus near one. With rate = log|p(dt)|, the ge row of
+    M(t_k) is e^{k*rate} (ge, conj(eg)).
+    """
+
+    ee: np.ndarray
+    gg: np.ndarray
+    ge: np.ndarray
+    eg: np.ndarray
+    rate: float
+
+
+def grid_state(schedule: PulseSchedule, params: SimParams,
+               stepper: str = "rk4") -> GridState:
+    """Closed-form GridState, one pulse-free stretch of whole steps at a time.
+
+    Whole steps act as powers of the ``step_multipliers`` factors; a grid
+    interval with pulses is stepped by the rule of ``evolve_operator``.
+    """
+    n, dt = params.n_steps, params.dt
+    grid = params.time_grid()
+    # pulse i acts in the interval (t_{m-1}, t_m], m = where[i]; pulses with
+    # m = 0 (within TIME_SNAP of t = 0) or m = n + 1 never act
+    where = np.searchsorted(grid + TIME_SNAP * dt, schedule.times)
+    decay, phase = step_multipliers(dt, params.delta, params.gamma, stepper)
+    log_decay, scale = math.log(decay), abs(phase)
+    turn = np.exp(1j * cmath.phase(phase) * np.arange(n + 1))
+    ee, gg = np.empty(n + 1), np.empty(n + 1)
+    ge, eg = np.empty(n + 1, complex), np.empty(n + 1, complex)
+    op, k = TwoLevelOperator(ee=1.0, ge=1.0), 0  # populations, and the column
+    for m in [*np.unique(where[(where > 0) & (where <= n)]), n + 1]:
+        j = np.arange(m - k)
+        ee[k:m] = op.ee.real * np.exp(j * log_decay)
+        gg[k:m] = op.gg.real - op.ee.real * np.expm1(j * log_decay)
+        ge[k:m] = op.ge * turn[:m - k]
+        eg[k:m] = op.eg * turn[:m - k].conj()
+        if m > n:
+            break
+        inside = schedule.events[np.searchsorted(where, m):
+                                 np.searchsorted(where, m, side="right")]
+        op = _advance(TwoLevelOperator(ee[m - 1], eg[m - 1], ge[m - 1], gg[m - 1]),
+                      grid[m - 1], grid[m], inside, params, stepper)
+        op = TwoLevelOperator(op.ee, op.eg / scale, op.ge / scale, op.gg)
+        k = m
+    return GridState(ee, gg, ge, eg, math.log(scale))

@@ -18,8 +18,8 @@ def periodic_schedule(axis_pattern: list[PulseAxis], tau: float,
     The observation window ends with the last pulse, window_end = n_pulses*tau.
     With pattern [X, Y] the odd-numbered pulses are X and the even-numbered Y.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
     if not axis_pattern:
@@ -41,8 +41,8 @@ def uhrig_schedule(n_pulses: int, t_end: float,
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
     times = [
         t_end * math.sin(j * math.pi / (2 * (n_pulses + 1))) ** 2
         for j in range(1, n_pulses + 1)
@@ -55,6 +55,6 @@ def uhrig_schedule(n_pulses: int, t_end: float,
 
 def no_drive_schedule(t_end: float) -> PulseSchedule:
     """Free decay: no pulses over [0, t_end]."""
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
     return PulseSchedule(events=(), window_end=t_end)

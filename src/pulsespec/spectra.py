@@ -183,16 +183,19 @@ def local_maxima(omega: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def dominant_peaks(omega: np.ndarray, values: np.ndarray,
                    rel_height: float = 0.5) -> list[tuple[float, float]]:
-    """(position, smoothed height) of local maxima above rel_height * max.
+    """(position, smoothed height) of the local maxima that reach the cut.
 
-    Positions and heights are taken at the indices `local_maxima` reports,
-    so a symmetric narrow line sits on its own grid point.
+    The cut is base + rel_height * (top - base), with base the smallest
+    smoothed value and top the highest maximum, so a constant shift (lines
+    all below zero, say) changes nothing. Positions and heights are taken at
+    the indices `local_maxima` reports, so a symmetric narrow line sits on
+    its own grid point.
     """
     s = smooth3(values)
     idx = local_maxima(omega, values)
     if idx.size == 0:
         return []
-    cut = rel_height * s[idx].max()
+    cut = s.min() + rel_height * (s[idx].max() - s.min())
     return [(float(omega[i]), float(s[i])) for i in idx if s[i] >= cut]
 
 

@@ -9,6 +9,7 @@ from pulsespec import (
     PulseSchedule,
     SimParams,
     TwoLevelOperator,
+    default_omega_grid,
     left_mul_sigma_minus,
     right_mul_sigma_minus,
     validate_density,
@@ -116,6 +117,16 @@ class TestPulseSchedule:
         with pytest.raises(ValueError):
             PulseSchedule(events=(PulseEvent(0.0, PulseAxis.X),), window_end=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_times_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PulseSchedule(events=(PulseEvent(bad, PulseAxis.X),), window_end=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            PulseSchedule(events=(PulseEvent(0.2, PulseAxis.X),
+                                  PulseEvent(bad, PulseAxis.X)), window_end=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            PulseSchedule(events=(), window_end=bad)
+
     def test_time_outside_window_rejected(self):
         with pytest.raises(ValueError, match="outside the window"):
             PulseSchedule(events=(PulseEvent(1.5, PulseAxis.X),), window_end=1.0)
@@ -146,6 +157,21 @@ class TestSimParams:
             SimParams(delta=0, t_end=0.0)
         with pytest.raises(ValueError):
             SimParams(delta=0, dt=-1e-3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["delta", "gamma", "t_end", "dt"])
+    def test_rejects_non_finite_scalars(self, name, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SimParams(**{"delta": 0.0, name: bad})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_omega(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SimParams(delta=0, omega_grid=[0.0, 1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            default_omega_grid(-1.0, bad, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            default_omega_grid(-1.0, 1.0, bad)
 
     def test_rejects_non_divisible_window(self):
         with pytest.raises(ValueError, match="integer multiple"):

@@ -4,7 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pulsespec
+from pulsespec import correlations, dynamics
+from pulsespec.dynamics import TIME_SNAP
 from pulsespec import (
     PulseAxis,
     PulseEvent,
@@ -207,3 +212,97 @@ class TestCoarseBruteForce:
             g2[:c2.size] += w[k] * c2
         assert np.max(np.abs(kern.g1 - g1)) < 1e-12
         assert np.max(np.abs(kern.g2 - g2)) < 1e-12
+
+
+def row_loop_kernel(sched, params, stepper):
+    """Oracle: G1, G2 summed row by row from ``correlator_row``."""
+    n, dt = params.n_steps, params.dt
+    w = np.full(n + 1, dt)
+    w[0] = w[-1] = dt / 2
+    traj = density_trajectory(sched, params, stepper=stepper)
+    g1 = np.zeros(n + 1, dtype=complex)
+    g2 = np.zeros(n + 1, dtype=complex)
+    for k in range(n + 1):
+        c1, c2 = correlator_row(k * dt, traj.states[k], sched, params,
+                                stepper=stepper)
+        g1[:c1.size] += w[k] * c1
+        g2[:c2.size] += w[k] * c2
+    return g1, g2
+
+
+AXES = st.sampled_from([PulseAxis.X, PulseAxis.Y, PulseAxis.Z])
+
+
+@st.composite
+def coarse_runs(draw):
+    """A schedule on a coarse grid with the awkward pulse placements.
+
+    Every draw holds a pulse within TIME_SNAP of a grid point, two pulses in
+    one dt interval and random off-grid pulses; some end with a pulse at T.
+    """
+    n = draw(st.integers(4, 40))
+    dt = draw(st.sampled_from([0.05, 0.1, 0.25]))
+    t_end = n * dt
+    snap = TIME_SNAP * dt
+    times = {k * dt + off for k, off in draw(st.lists(
+        st.tuples(st.integers(1, n - 1), st.floats(-0.5 * snap, 0.5 * snap)),
+        min_size=1, max_size=3))}
+    k = draw(st.integers(0, n - 1))
+    a, b = sorted(draw(st.lists(st.floats(0.01, 0.99), min_size=2, max_size=2,
+                                unique=True)))
+    times |= {(k + a) * dt, (k + b) * dt}
+    times |= {x * t_end for x in draw(st.lists(st.floats(0.01, 0.99), max_size=4))}
+    if draw(st.booleans()):
+        times.add(t_end)
+    events = tuple(PulseEvent(t, draw(AXES)) for t in sorted(times))
+    delta = draw(st.floats(-8.0, 8.0))
+    return (PulseSchedule(events=events, window_end=t_end),
+            SimParams(delta=delta, gamma=2.0, t_end=t_end, dt=dt))
+
+
+class TestFftKernelOracles:
+    @pytest.mark.parametrize("stepper", ["rk4", "exact"])
+    @settings(max_examples=40, deadline=None)
+    @given(run=coarse_runs())
+    def test_matches_row_loop_on_random_schedules(self, stepper, run):
+        sched, params = run
+        kern = accumulate_kernel(sched, params, stepper=stepper)
+        g1, g2 = row_loop_kernel(sched, params, stepper)
+        assert np.max(np.abs(kern.g1 - g1)) < 1e-12
+        assert np.max(np.abs(kern.g2 - g2)) < 1e-12
+
+    def test_long_window_z_train_against_direct_sum(self):
+        # gamma*T = 200: without the decay envelope taken out, the FFT
+        # operands would span e^{+-100} and lose every digit
+        delta, gamma, t_end, dt = 3.0, 2.0, 100.0, 0.05
+        times = 0.013 + 0.9973 * np.arange(1, 100)  # Z pulses off the grid
+        sched = PulseSchedule(
+            events=tuple(PulseEvent(float(t), PulseAxis.Z) for t in times),
+            window_end=t_end)
+        params = SimParams(delta=delta, gamma=gamma, t_end=t_end, dt=dt)
+        kern = accumulate_kernel(sched, params, stepper="exact")
+
+        # independent O(N^2) sum: populations are untouched by Z pulses, and
+        # K(t, theta) = p^j * (-1)^(pulses in (t, t + theta])
+        n = params.n_steps
+        t = np.arange(n + 1) * dt
+        w = np.full(n + 1, dt)
+        w[0] = w[-1] = dt / 2
+        sign = (-1.0) ** np.searchsorted(times, t, side="right")
+        p = np.exp((1j * delta - gamma / 2) * dt * np.arange(n + 1))
+        for pop, g in ((np.exp(-gamma * t), kern.g1),
+                       (-np.expm1(-gamma * t), kern.g2)):
+            a = w * pop * sign
+            direct = p * np.array([a[:n + 1 - j] @ sign[j:] for j in range(n + 1)])
+            assert np.max(np.abs(g - direct)) < 1e-12 * abs(g[0])
+
+    def test_never_builds_the_trajectory(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("accumulate_kernel called density_trajectory")
+
+        for module in (pulsespec, correlations, dynamics):
+            monkeypatch.setattr(module, "density_trajectory", forbidden,
+                                raising=False)
+        kern = accumulate_kernel(uhrig_schedule(6, 2.0),
+                                 SimParams(delta=3.0, t_end=2.0, dt=1e-2))
+        assert kern.g1[0].real > 0

@@ -105,3 +105,13 @@ class TestNoDrive:
     def test_rejects_zero_window(self):
         with pytest.raises(ValueError):
             no_drive_schedule(0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_builders_reject_non_finite_times(bad):
+    with pytest.raises(ValueError, match="finite"):
+        periodic_schedule([PulseAxis.X], tau=bad, n_pulses=3)
+    with pytest.raises(ValueError, match="finite"):
+        uhrig_schedule(4, bad)
+    with pytest.raises(ValueError, match="finite"):
+        no_drive_schedule(bad)

@@ -275,6 +275,16 @@ class TestPeakTools:
         both = dominant_peaks(om, v, rel_height=0.1)
         assert len(both) == 2
 
+    @pytest.mark.parametrize("shift", [-2.0, 5.0])
+    def test_dominant_peaks_ignore_a_constant_shift(self, shift):
+        # net absorption can put every line below zero; the cut is measured
+        # from the smoothed minimum, so a shift moves nothing
+        om = np.linspace(-1, 1, 201)
+        v = np.exp(-((om - 0.5) / 0.05) ** 2) + 0.2 * np.exp(-((om + 0.5) / 0.05) ** 2)
+        for rel in (0.5, 0.1):
+            expect = [p for p, _ in dominant_peaks(om, v, rel)]
+            assert [p for p, _ in dominant_peaks(om, v + shift, rel)] == expect
+
     def test_fwhm_of_lorentzian(self):
         om = np.linspace(-20, 20, 4001)
         v = 1.0 / (1.0 + om ** 2)
