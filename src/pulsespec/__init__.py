@@ -18,22 +18,10 @@ from .core import (
     PulseSchedule,
     SimParams,
     SpectrumResult,
-    TwoLevelOperator,
     default_omega_grid,
-    left_mul_sigma_minus,
-    right_mul_sigma_minus,
-    validate_density,
 )
-from .correlations import accumulate_kernel, correlator_row
-from .dynamics import (
-    Trajectory,
-    apply_pulse,
-    density_trajectory,
-    evolve_operator,
-    free_derivative,
-    free_propagator_exact,
-    rk4_step,
-)
+from .correlations import accumulate_kernel
+from .dynamics import Trajectory, density_trajectory
 from .sequences import no_drive_schedule, periodic_schedule, uhrig_schedule
 from .spectra import (
     detuning_average,
@@ -54,26 +42,16 @@ __all__ = [
     "SimParams",
     "SpectrumResult",
     "Trajectory",
-    "TwoLevelOperator",
     "accumulate_kernel",
-    "apply_pulse",
-    "correlator_row",
     "default_omega_grid",
     "density_trajectory",
     "detuning_average",
     "dominant_peaks",
     "emission_sum_rule",
-    "evolve_operator",
-    "free_derivative",
-    "free_propagator_exact",
     "full_width_half_max",
-    "left_mul_sigma_minus",
     "local_maxima",
     "no_drive_schedule",
     "periodic_schedule",
-    "right_mul_sigma_minus",
-    "rk4_step",
     "spectrum_from_kernel",
     "uhrig_schedule",
-    "validate_density",
 ]

@@ -4,7 +4,8 @@ Configuration comes from command-line flags, optionally layered on top of a
 plain ``key=value`` file (``#`` comments allowed); flags win. Results go to
 a CSV (one row per frequency) with a ``<output>.meta`` sidecar recording
 every resolved parameter, the kernel method and the warnings raised, and
-optionally a gnuplot script. ``python -m pulsespec`` runs the same front-end.
+optionally a gnuplot script. ``python -m pulsespec`` and
+``python -m pulsespec.cli`` run the same front-end.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
@@ -12,6 +13,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -294,9 +296,26 @@ def _write_plot_script(path: str, csv_path: str, observable: str) -> None:
         f.write(body)
 
 
+def _check_writable(paths: list[str]) -> None:
+    """Raise OSError if a path cannot be opened for writing; leave no new file."""
+    for path in paths:
+        existed = os.path.exists(path)
+        with open(path, "a"):
+            pass
+        if not existed:
+            os.remove(path)
+
+
 def run(config: RunConfig) -> SpectrumResult:
-    """Execute the pipeline and write the outputs; warnings go to stderr and .meta."""
+    """Execute the pipeline and write the outputs; warnings go to stderr and .meta.
+
+    Every output path is checked for writing before anything is computed.
+    """
     config.validate()
+    outputs = [config.output_path, config.output_path + ".meta"]
+    if config.plot_script:
+        outputs.append(config.plot_script)
+    _check_writable(outputs)
     schedule = config.build_schedule()
     params = config.build_params()
 
@@ -351,3 +370,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

@@ -58,10 +58,6 @@ class TwoLevelOperator:
         return cls(ee=m[0, 0], eg=m[0, 1], ge=m[1, 0], gg=m[1, 1])
 
 
-#: initial condition used throughout: excited state occupied, no coherence
-EXCITED_STATE = TwoLevelOperator(ee=1.0 + 0j, eg=0j, ge=0j, gg=0j)
-
-
 def validate_density(op: TwoLevelOperator, tol: float = DENSITY_TOL) -> bool:
     """Check whether ``op`` is a physical density matrix.
 

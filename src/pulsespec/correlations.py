@@ -11,15 +11,16 @@ t-integration happen first, so only the theta-indexed kernels
 
 are ever stored, never the full (t, theta) grid.
 
-``correlator_row`` computes one t-row at a time (the reference path).
-``accumulate_kernel`` works in the toggling frame instead. The coherences of
-rho stay zero, so both seeds are pure coherences (ge = rho_ee, resp. rho_gg)
-evolving under the monomial coherence map M of ``dynamics.GridState``. So
-C1 = rho_ee(t) K and C2 = rho_gg(t) K, K(t, theta) = [M(t+theta) M(t)^-1]_ge,ge,
-and each t-sum is a cross-correlation per coherence column, done with FFTs
-in O(N log N). The decay e^{theta*rate} is an envelope taken out first, so
+``correlator_row`` computes one t-row at a time, stepping the seed with
+``evolve_operator`` one grid interval per theta sample; the tests use it as
+the oracle. ``accumulate_kernel`` works in the toggling frame instead. The
+coherences of rho stay zero, so both seeds are pure coherences (ge = rho_ee,
+resp. rho_gg) evolving under the monomial coherence map M of
+``dynamics.GridState``. So C1 = rho_ee(t) K and C2 = rho_gg(t) K with
+K(t, theta) = [M(t+theta) M(t)^-1]_ge,ge, and each t-sum is a
+cross-correlation per coherence column, done with FFTs in O(N log N). The decay e^{theta*rate} is an envelope taken out first, so
 the FFT operands have modulus near one and long windows keep full
-precision. The two paths agree to rounding and check each other in tests.
+precision.
 """
 
 from __future__ import annotations
@@ -53,20 +54,15 @@ def correlator_row(t_seed: float, rho_at_seed: TwoLevelOperator,
         raise ValueError(
             f"t_seed={t_seed} is not on the [0, {params.t_end}] grid with step {dt}"
         )
-    theta_count = params.n_steps - k + 1
-    sample_times = t_seed + np.arange(theta_count) * dt
-
-    _, row1 = evolve_operator(
-        left_mul_sigma_minus(rho_at_seed), t_seed, params.t_end,
-        schedule, params, record_grid=sample_times, stepper=stepper,
-    )
-    _, row2 = evolve_operator(
-        right_mul_sigma_minus(rho_at_seed), t_seed, params.t_end,
-        schedule, params, record_grid=sample_times, stepper=stepper,
-    )
-    c1 = np.array([s.ge for s in row1], dtype=complex)
-    c2 = np.array([s.ge for s in row2], dtype=complex)
-    return c1, c2
+    grid = params.time_grid()[k:]
+    rows = []
+    for op in left_mul_sigma_minus(rho_at_seed), right_mul_sigma_minus(rho_at_seed):
+        row = [op.ge]
+        for a, b in zip(grid[:-1], grid[1:]):
+            op = evolve_operator(op, a, b, schedule, params, stepper=stepper)
+            row.append(op.ge)
+        rows.append(np.array(row, dtype=complex))
+    return rows[0], rows[1]
 
 
 def accumulate_kernel(schedule: PulseSchedule, params: SimParams,

@@ -2,106 +2,36 @@
 
 Between pulses the drive is off, so each matrix element obeys a decoupled
 linear equation: populations exchange through spontaneous decay at rate
-gamma, coherences rotate at the detuning and damp at gamma/2. Two steppers
-are provided, a classical fixed-step RK4 (default) and the closed-form
-propagator of the same equations (exact between pulses); either can drive
-the full pipeline and they serve as mutual oracles.
+gamma, coherences rotate at the detuning and damp at gamma/2. One step of
+length h is therefore an elementwise multiplication by a decay and a phase
+factor, ``step_multipliers``. They come from one of two steppers: the
+classical fixed-step RK4 (default), whose factors are degree-4 Taylor
+polynomials, or the closed-form propagator of the same equations (exact
+between pulses).
 
 Pulses are instantaneous conjugations rho -> sigma_i rho sigma_i. They are
-applied at their exact times by shortening the final substep of the
-enclosing integration interval, never by snapping the pulse to the grid.
+applied at their exact times by splitting the enclosing grid interval,
+never by snapping the pulse to the grid.
 
 Boundary convention used everywhere: evolving over [t_from, t_to] applies a
 pulse sitting exactly at t_to but not one sitting exactly at t_from (that
 one is assumed already applied). This makes chained evolution associative
-and fixes the post-pulse value as the recorded/seeded state at coincident
-grid times.
+and makes the post-pulse value the state at a grid time that carries a
+pulse.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    EXCITED_STATE,
-    PulseAxis,
-    PulseSchedule,
-    SimParams,
-    TwoLevelOperator,
-)
+from .core import PulseAxis, PulseSchedule, SimParams, TwoLevelOperator
 
 #: fraction of dt below which two times are treated as coincident
 TIME_SNAP = 1e-9
-
-
-def free_derivative(op: TwoLevelOperator, delta: float,
-                    gamma: float) -> TwoLevelOperator:
-    """Right-hand side of the undriven master equation for each element.
-
-    d(ee)/dt = -gamma*ee, d(gg)/dt = +gamma*ee,
-    d(ge)/dt = (i*delta - gamma/2)*ge, d(eg)/dt = (-i*delta - gamma/2)*eg.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    lam = 1j * delta - 0.5 * gamma
-    return TwoLevelOperator(
-        ee=-gamma * op.ee,
-        eg=lam.conjugate() * op.eg,
-        ge=lam * op.ge,
-        gg=gamma * op.ee,
-    )
-
-
-def free_propagator_exact(op: TwoLevelOperator, dt: float, delta: float,
-                          gamma: float) -> TwoLevelOperator:
-    """Closed-form free evolution over a step dt >= 0.
-
-    ee decays by e^{-gamma dt}, the lost population lands in gg, and the
-    coherences pick up e^{(+-i delta - gamma/2) dt}.
-    """
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    decay = math.exp(-gamma * dt)
-    phase = cmath.exp((1j * delta - 0.5 * gamma) * dt)
-    return TwoLevelOperator(
-        ee=op.ee * decay,
-        eg=op.eg * phase.conjugate(),
-        ge=op.ge * phase,
-        gg=op.gg + op.ee * (-math.expm1(-gamma * dt)),
-    )
-
-
-def _add_scaled(op: TwoLevelOperator, s: float,
-                k: TwoLevelOperator) -> TwoLevelOperator:
-    return TwoLevelOperator(
-        ee=op.ee + s * k.ee,
-        eg=op.eg + s * k.eg,
-        ge=op.ge + s * k.ge,
-        gg=op.gg + s * k.gg,
-    )
-
-
-def rk4_step(op: TwoLevelOperator, dt: float, delta: float,
-             gamma: float) -> TwoLevelOperator:
-    """One classical Runge-Kutta step of the free master equation."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    k1 = free_derivative(op, delta, gamma)
-    k2 = free_derivative(_add_scaled(op, 0.5 * dt, k1), delta, gamma)
-    k3 = free_derivative(_add_scaled(op, 0.5 * dt, k2), delta, gamma)
-    k4 = free_derivative(_add_scaled(op, dt, k3), delta, gamma)
-    sixth = dt / 6.0
-    return TwoLevelOperator(
-        ee=op.ee + sixth * (k1.ee + 2 * k2.ee + 2 * k3.ee + k4.ee),
-        eg=op.eg + sixth * (k1.eg + 2 * k2.eg + 2 * k3.eg + k4.eg),
-        ge=op.ge + sixth * (k1.ge + 2 * k2.ge + 2 * k3.ge + k4.ge),
-        gg=op.gg + sixth * (k1.gg + 2 * k2.gg + 2 * k3.gg + k4.gg),
-    )
 
 
 def apply_pulse(op: TwoLevelOperator, axis: PulseAxis) -> TwoLevelOperator:
@@ -129,7 +59,7 @@ def step_multipliers(h: float, delta: float, gamma: float,
     ee *= decay, gg += (1 - decay)*ee_old, ge *= phase, eg *= conj(phase).
     For "exact" the factors are the true exponentials; for "rk4" they are
     the degree-4 Taylor polynomial the classical RK4 update realizes on a
-    linear system, so batched multiplier stepping reproduces rk4_step.
+    linear system.
     """
     lam = 1j * delta - 0.5 * gamma
     if stepper == "exact":
@@ -143,13 +73,12 @@ def step_multipliers(h: float, delta: float, gamma: float,
     raise ValueError(f"unknown stepper {stepper!r}; use 'rk4' or 'exact'")
 
 
-def _step(op: TwoLevelOperator, h: float, params: SimParams,
-          stepper: str) -> TwoLevelOperator:
-    if stepper == "rk4":
-        return rk4_step(op, h, params.delta, params.gamma)
-    if stepper == "exact":
-        return free_propagator_exact(op, h, params.delta, params.gamma)
-    raise ValueError(f"unknown stepper {stepper!r}; use 'rk4' or 'exact'")
+def _free_step(op: TwoLevelOperator, h: float, params: SimParams,
+               stepper: str) -> TwoLevelOperator:
+    """One pulse-free step of length h: the ``step_multipliers`` update."""
+    decay, phase = step_multipliers(h, params.delta, params.gamma, stepper)
+    return TwoLevelOperator(ee=op.ee * decay, eg=op.eg * phase.conjugate(),
+                            ge=op.ge * phase, gg=op.gg + (1.0 - decay) * op.ee)
 
 
 def _advance(op: TwoLevelOperator, t0: float, t1: float, events,
@@ -166,29 +95,23 @@ def _advance(op: TwoLevelOperator, t0: float, t1: float, events,
         if ev.time <= t0 + snap or ev.time > t1 + snap:
             continue
         if ev.time - cur > snap:
-            op = _step(op, ev.time - cur, params, stepper)
+            op = _free_step(op, ev.time - cur, params, stepper)
         op = apply_pulse(op, ev.axis)
         cur = ev.time
     if t1 - cur > snap:
-        op = _step(op, t1 - cur, params, stepper)
+        op = _free_step(op, t1 - cur, params, stepper)
     return op
 
 
 def evolve_operator(op: TwoLevelOperator, t_from: float, t_to: float,
                     schedule: PulseSchedule, params: SimParams,
-                    record_grid: np.ndarray | None = None,
-                    stepper: str = "rk4"):
+                    stepper: str = "rk4") -> TwoLevelOperator:
     """Evolve an operator from t_from to t_to under free decay plus pulses.
 
     Integration advances on the lattice t_from + k*dt; a pulse inside a
     lattice interval splits it into shortened substeps so the pulse acts at
     its exact time. A pulse exactly at t_from is not applied (assumed already
     applied), a pulse exactly at t_to is.
-
-    When ``record_grid`` is given (nondecreasing times on the lattice,
-    t_from and t_to included as needed), the state is sampled after pulse
-    application at each requested time and the return value is
-    ``(final_state, [samples...])``; otherwise just ``final_state``.
     """
     if not 0.0 <= t_from <= t_to <= schedule.window_end * (1 + 1e-12):
         raise ValueError(
@@ -196,78 +119,15 @@ def evolve_operator(op: TwoLevelOperator, t_from: float, t_to: float,
             f"[{t_from}, {t_to}] in window {schedule.window_end}"
         )
     dt = params.dt
-    snap = TIME_SNAP * dt
-
-    samples: list[TwoLevelOperator] = []
-    rec = None
-    if record_grid is not None:
-        rec = np.asarray(record_grid, dtype=float)
-        if rec.size and (rec[0] < t_from - snap or rec[-1] > t_to + snap):
-            raise ValueError("record_grid must lie within [t_from, t_to]")
-    rec_i = 0
-
-    def _maybe_record(t: float, state: TwoLevelOperator):
-        nonlocal rec_i
-        if rec is None:
-            return
-        while rec_i < rec.size and rec[rec_i] <= t + snap:
-            if rec[rec_i] < t - snap:
-                raise ValueError(
-                    f"record time {rec[rec_i]} is not on the integration "
-                    f"lattice (step {dt} from {t_from})"
-                )
-            samples.append(state)
-            rec_i += 1
-
-    _maybe_record(t_from, op)
-
     n_full = int(math.floor((t_to - t_from) / dt + TIME_SNAP))
     lattice = [t_from + k * dt for k in range(n_full + 1)]
-    if t_to - lattice[-1] > snap:
+    if t_to - lattice[-1] > TIME_SNAP * dt:
         lattice.append(t_to)
     else:
         lattice[-1] = t_to
-
     for a, b in zip(lattice[:-1], lattice[1:]):
         op = _advance(op, a, b, schedule.events, params, stepper)
-        _maybe_record(b, op)
-
-    if rec is not None:
-        if rec_i != rec.size:
-            raise ValueError("record_grid extends beyond t_to")
-        return op, samples
     return op
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Density-matrix samples on the uniform grid over [0, T].
-
-    At a grid time that carries a pulse the stored state is the post-pulse
-    one (the 0+ side of the discontinuity).
-    """
-
-    t_grid: np.ndarray
-    states: tuple[TwoLevelOperator, ...]
-
-    def __post_init__(self):
-        if len(self.states) != len(self.t_grid):
-            raise ValueError("one state per grid point required")
-
-
-def density_trajectory(schedule: PulseSchedule, params: SimParams,
-                       stepper: str = "rk4") -> Trajectory:
-    """Evolve the emitter density matrix from the occupied excited state.
-
-    Initial condition: ee = 1 and everything else zero at t = 0.
-    """
-    params.check_schedule(schedule)
-    grid = params.time_grid()
-    _, states = evolve_operator(
-        EXCITED_STATE, 0.0, params.t_end, schedule, params,
-        record_grid=grid, stepper=stepper,
-    )
-    return Trajectory(t_grid=grid, states=tuple(states))
 
 
 class GridState(NamedTuple):
@@ -293,7 +153,7 @@ def grid_state(schedule: PulseSchedule, params: SimParams,
     """Closed-form GridState, one pulse-free stretch of whole steps at a time.
 
     Whole steps act as powers of the ``step_multipliers`` factors; a grid
-    interval with pulses is stepped by the rule of ``evolve_operator``.
+    interval with pulses goes through ``_advance``, as in ``evolve_operator``.
     """
     n, dt = params.n_steps, params.dt
     grid = params.time_grid()
@@ -321,3 +181,27 @@ def grid_state(schedule: PulseSchedule, params: SimParams,
         op = TwoLevelOperator(op.ee, op.eg / scale, op.ge / scale, op.gg)
         k = m
     return GridState(ee, gg, ge, eg, math.log(scale))
+
+
+class Trajectory(NamedTuple):
+    """Populations of the density matrix on the uniform grid over [0, T].
+
+    At a grid time that carries a pulse the stored value is the post-pulse
+    one (the 0+ side of the discontinuity). The coherences are not stored:
+    from the excited start they stay exactly zero.
+    """
+
+    t_grid: np.ndarray
+    ee: np.ndarray
+    gg: np.ndarray
+
+
+def density_trajectory(schedule: PulseSchedule, params: SimParams,
+                       stepper: str = "rk4") -> Trajectory:
+    """Evolve the emitter density matrix from the occupied excited state.
+
+    Initial condition: ee = 1 and everything else zero at t = 0.
+    """
+    params.check_schedule(schedule)
+    s = grid_state(schedule, params, stepper)
+    return Trajectory(params.time_grid(), s.ee, s.gg)

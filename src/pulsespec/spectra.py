@@ -31,8 +31,8 @@ def spectrum_from_kernel(kernel: CorrelationKernel,
     elementwise difference of the other two columns.
     """
     omega = np.asarray(omega_grid, dtype=float)
-    if omega.ndim != 1 or omega.size == 0:
-        raise ValueError("omega_grid must be a nonempty 1-d array")
+    if omega.ndim != 1 or omega.size == 0 or not np.all(np.isfinite(omega)):
+        raise ValueError("omega_grid must be a nonempty finite 1-d array")
     if omega.size > 1 and np.any(np.diff(omega) <= 0):
         raise ValueError("omega_grid must be strictly increasing")
     theta = kernel.theta_grid

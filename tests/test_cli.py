@@ -1,4 +1,4 @@
-"""Command-line front-end: exit codes, the .meta record, ``python -m``."""
+"""Command-line front-end: exit codes, config layering, .meta, ``python -m``."""
 
 import os
 import subprocess
@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import pulsespec
+from pulsespec import cli
 from pulsespec.cli import CSV_HEADER, main, parse_config
 
 META_KEYS = [
@@ -49,6 +50,82 @@ def test_window_off_the_step_lattice_is_a_configuration_error(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("outputs, blocker", [
+    (["-o", "{dir}/missing/x.csv"], None),
+    (["-o", "{dir}/x.csv", "--plot-script", "{dir}/missing/x.gp"], None),
+    (["-o", "{dir}/x.csv"], "x.csv.meta"),  # a directory where .meta goes
+])
+def test_unwritable_output_fails_before_computing(tmp_path, monkeypatch, capsys,
+                                                  outputs, blocker):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computed before checking the outputs")
+
+    monkeypatch.setattr(cli, "accumulate_kernel", forbidden)
+    if blocker:
+        (tmp_path / blocker).mkdir()
+    argv = ["--protocol", "none", "--t-end", "20",
+            *[a.format(dir=tmp_path) for a in outputs]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ([blocker] if blocker else [])
+
+
+def test_existing_outputs_are_overwritten(tmp_path):
+    out, plot = tmp_path / "x.csv", tmp_path / "x.gp"
+    for path in (out, plot, tmp_path / "x.csv.meta"):
+        path.write_text("old\n")
+    assert main(["--protocol", "none", "--t-end", "1", "--dt", "0.01",
+                 "-o", str(out), "--plot-script", str(plot)]) == 0
+    assert out.read_text().startswith(CSV_HEADER + "\n")
+    assert read_meta(out)["protocol"] == "none"
+    assert str(out) in plot.read_text()
+
+
+def write_config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def test_config_file_on_its_own(tmp_path):
+    out = tmp_path / "f.csv"
+    cfg = write_config(tmp_path, f"protocol=pz\ntau=0.2\nn_pulses=3\n"
+                                 f"delta=1.5\ndt=0.01\noutput={out}\n")
+    config = parse_config(["--config", cfg])
+    assert (config.protocol, config.tau, config.n_pulses) == ("pz", 0.2, 3)
+    assert (config.delta, config.dt, config.output_path) == (1.5, 0.01, str(out))
+    assert main(["--config", cfg]) == 0
+    assert read_meta(out)["protocol"] == "pz"
+
+
+def test_flag_overrides_file_value(tmp_path):
+    cfg = write_config(tmp_path, "protocol=none\nt_end=1\ndelta=1.5\n"
+                                 "output=a.csv\n")
+    config = parse_config(["--config", cfg, "--delta", "-2", "-o", "b.csv"])
+    assert config.delta == -2.0 and config.output_path == "b.csv"
+    assert config.t_end == 1.0
+
+
+def test_config_comments_and_output_key(tmp_path):
+    cfg = write_config(tmp_path, "# free decay\n\nprotocol=none  # no pulses\n"
+                                 "t_end = 2 # window\noutput = run.csv\n")
+    config = parse_config(["--config", cfg])
+    assert (config.protocol, config.t_end) == ("none", 2.0)
+    assert config.output_path == "run.csv"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("colour=blue", "unknown key 'colour'"),
+    ("delta=fast", "delta: cannot parse 'fast'"),
+])
+def test_bad_config_line_names_its_place(tmp_path, capsys, line, message):
+    cfg = write_config(tmp_path, f"# header\nprotocol=none\n{line}\nt_end=1\n")
+    assert main(["--config", cfg, "-o", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:3: {message}" in err
+    assert list(tmp_path.iterdir()) == [Path(cfg)]
+
+
 def test_meta_round_trip_with_warnings(tmp_path, capsys):
     out = tmp_path / "u.csv"
     argv = ["--protocol", "uhrig", "--n-pulses", "4", "--t-end", "0.4",
@@ -88,9 +165,9 @@ def test_meta_warnings_empty_when_none_fire(tmp_path, capsys):
     assert read_meta(out)["warnings"] == ""
 
 
-def run_module(argv):
+def run_module(argv, module="pulsespec"):
     env = dict(os.environ, PYTHONPATH=str(Path(pulsespec.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "pulsespec", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -111,3 +188,18 @@ def test_python_m_pulsespec_writes_outputs(tmp_path):
 def test_python_m_pulsespec_returns_the_exit_code_of_main(tmp_path, argv):
     argv = [a.format(dir=tmp_path) for a in argv]
     assert run_module(argv).returncode == main(argv) != 0
+
+
+def test_python_m_pulsespec_cli_writes_outputs(tmp_path):
+    out = tmp_path / "c.csv"
+    proc = run_module(["--protocol", "none", "--t-end", "1", "--dt", "0.01",
+                       "-o", str(out)], module="pulsespec.cli")
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().startswith(CSV_HEADER + "\n")
+    assert read_meta(out)["protocol"] == "none"
+
+
+def test_python_m_pulsespec_cli_returns_the_exit_code_of_main(tmp_path):
+    argv = ["--protocol", "none", "--gamma", "-1", "--t-end", "1",
+            "-o", str(tmp_path / "a.csv")]
+    assert run_module(argv, module="pulsespec.cli").returncode == main(argv) == 1

@@ -8,8 +8,10 @@ from pulsespec import (
     PulseEvent,
     PulseSchedule,
     SimParams,
-    TwoLevelOperator,
     default_omega_grid,
+)
+from pulsespec.core import (
+    TwoLevelOperator,
     left_mul_sigma_minus,
     right_mul_sigma_minus,
     validate_density,

@@ -16,12 +16,19 @@ from pulsespec import (
     PulseSchedule,
     SimParams,
     accumulate_kernel,
-    correlator_row,
     density_trajectory,
     no_drive_schedule,
     periodic_schedule,
     uhrig_schedule,
 )
+from pulsespec.core import TwoLevelOperator
+from pulsespec.correlations import correlator_row
+from pulsespec.dynamics import evolve_operator
+
+
+def rho_at(traj, k):
+    """The density matrix at grid point k; its coherences are zero."""
+    return TwoLevelOperator(ee=traj.ee[k], gg=traj.gg[k])
 
 
 class TestCorrelatorRow:
@@ -30,25 +37,25 @@ class TestCorrelatorRow:
         params = SimParams(delta=2.0, gamma=2.0, t_end=0.8, dt=1e-3)
         traj = density_trajectory(sched, params)
         for k in (0, 137, 400):
-            c1, c2 = correlator_row(k * params.dt, traj.states[k], sched, params)
-            assert c1[0] == pytest.approx(traj.states[k].ee)
-            assert c2[0] == pytest.approx(traj.states[k].gg)
+            c1, c2 = correlator_row(k * params.dt, rho_at(traj, k), sched, params)
+            assert c1[0] == pytest.approx(traj.ee[k])
+            assert c2[0] == pytest.approx(traj.gg[k])
 
     def test_free_decay_row_is_exponential(self):
         params = SimParams(delta=0.0, gamma=2.0, t_end=1.0, dt=1e-3)
         sched = no_drive_schedule(1.0)
         traj = density_trajectory(sched, params)
         k = 250
-        c1, _ = correlator_row(k * params.dt, traj.states[k], sched, params)
+        c1, _ = correlator_row(k * params.dt, rho_at(traj, k), sched, params)
         theta = np.arange(c1.size) * params.dt
-        expect = traj.states[k].ee * np.exp(-theta)  # gamma/2 = 1
+        expect = traj.ee[k] * np.exp(-theta)  # gamma/2 = 1
         assert np.max(np.abs(c1 - expect)) < 1e-9
 
     def test_phase_winds_at_detuning(self):
         params = SimParams(delta=3.0, gamma=2.0, t_end=1.0, dt=1e-3)
         sched = no_drive_schedule(1.0)
         traj = density_trajectory(sched, params)
-        c1, _ = correlator_row(0.0, traj.states[0], sched, params)
+        c1, _ = correlator_row(0.0, rho_at(traj, 0), sched, params)
         theta = np.arange(c1.size) * params.dt
         phase = np.unwrap(np.angle(c1))
         assert np.max(np.abs(phase - 3.0 * theta)) < 1e-6
@@ -58,14 +65,14 @@ class TestCorrelatorRow:
         sched = no_drive_schedule(0.4)
         traj = density_trajectory(sched, params)
         for k in range(5):
-            c1, c2 = correlator_row(k * 0.1, traj.states[k], sched, params)
+            c1, c2 = correlator_row(k * 0.1, rho_at(traj, k), sched, params)
             assert c1.size == c2.size == 5 - k
 
     def test_rejects_off_grid_seed(self):
         params = SimParams(delta=0.0, gamma=2.0, t_end=1.0, dt=1e-3)
         sched = no_drive_schedule(1.0)
         with pytest.raises(ValueError, match="grid"):
-            correlator_row(0.00042, density_trajectory(sched, params).states[0],
+            correlator_row(0.00042, rho_at(density_trajectory(sched, params), 0),
                            sched, params)
 
 
@@ -119,7 +126,7 @@ class TestAccumulateKernel:
         g1 = np.zeros(n + 1, dtype=complex)
         g2 = np.zeros(n + 1, dtype=complex)
         for k in range(n + 1):
-            c1, c2 = correlator_row(k * dt, traj.states[k], sched, params,
+            c1, c2 = correlator_row(k * dt, rho_at(traj, k), sched, params,
                                     stepper=stepper)
             g1[:c1.size] += w[k] * c1
             g2[:c2.size] += w[k] * c2
@@ -207,7 +214,7 @@ class TestCoarseBruteForce:
         g1 = np.zeros(n + 1, dtype=complex)
         g2 = np.zeros(n + 1, dtype=complex)
         for k in range(n + 1):
-            c1, c2 = correlator_row(k * dt, traj.states[k], self.sched, self.params)
+            c1, c2 = correlator_row(k * dt, rho_at(traj, k), self.sched, self.params)
             g1[:c1.size] += w[k] * c1
             g2[:c2.size] += w[k] * c2
         assert np.max(np.abs(kern.g1 - g1)) < 1e-12
@@ -223,7 +230,7 @@ def row_loop_kernel(sched, params, stepper):
     g1 = np.zeros(n + 1, dtype=complex)
     g2 = np.zeros(n + 1, dtype=complex)
     for k in range(n + 1):
-        c1, c2 = correlator_row(k * dt, traj.states[k], sched, params,
+        c1, c2 = correlator_row(k * dt, rho_at(traj, k), sched, params,
                                 stepper=stepper)
         g1[:c1.size] += w[k] * c1
         g2[:c2.size] += w[k] * c2
@@ -306,3 +313,40 @@ class TestFftKernelOracles:
         kern = accumulate_kernel(uhrig_schedule(6, 2.0),
                                  SimParams(delta=3.0, t_end=2.0, dt=1e-2))
         assert kern.g1[0].real > 0
+
+
+class TestRandomScheduleInvariants:
+    @pytest.mark.parametrize("stepper", ["rk4", "exact"])
+    @settings(max_examples=40, deadline=None)
+    @given(run=coarse_runs())
+    def test_trajectory_matches_interval_stepping(self, stepper, run):
+        # oracle: evolve_operator from ee = 1, one grid interval at a time
+        sched, params = run
+        traj = density_trajectory(sched, params, stepper=stepper)
+        assert (traj.ee[0], traj.gg[0]) == (1.0, 0.0)
+        op = TwoLevelOperator(ee=1)
+        for k in range(1, params.n_steps + 1):
+            op = evolve_operator(op, traj.t_grid[k - 1], traj.t_grid[k], sched,
+                                 params, stepper=stepper)
+            assert op.eg == op.ge == 0
+            assert abs(op.ee - traj.ee[k]) < 1e-12
+            assert abs(op.gg - traj.gg[k]) < 1e-12
+
+    @pytest.mark.parametrize("stepper", ["rk4", "exact"])
+    @settings(max_examples=40, deadline=None)
+    @given(run=coarse_runs())
+    def test_populations_conserve_trace_and_stay_in_range(self, stepper, run):
+        sched, params = run
+        traj = density_trajectory(sched, params, stepper=stepper)
+        assert np.max(np.abs(traj.ee + traj.gg - 1.0)) < 1e-12
+        for pop in (traj.ee, traj.gg):
+            assert np.all((pop >= -1e-12) & (pop <= 1 + 1e-12))
+
+    @pytest.mark.parametrize("stepper", ["rk4", "exact"])
+    @settings(max_examples=40, deadline=None)
+    @given(run=coarse_runs())
+    def test_g_zero_sum_is_the_window(self, stepper, run):
+        # G1(0) + G2(0) integrates rho_ee + rho_gg = 1 over [0, T]
+        sched, params = run
+        kern = accumulate_kernel(sched, params, stepper=stepper)
+        assert abs(kern.g1[0] + kern.g2[0] - params.t_end) < 1e-12 * params.t_end

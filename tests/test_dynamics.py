@@ -1,5 +1,6 @@
 """Free evolution, pulse maps, and the piecewise integrator."""
 
+import cmath
 import math
 
 import numpy as np
@@ -10,25 +11,26 @@ from pulsespec import (
     PulseEvent,
     PulseSchedule,
     SimParams,
-    TwoLevelOperator,
-    apply_pulse,
     density_trajectory,
-    evolve_operator,
-    free_derivative,
-    free_propagator_exact,
     no_drive_schedule,
     periodic_schedule,
-    rk4_step,
     uhrig_schedule,
-    validate_density,
 )
-from pulsespec.dynamics import step_multipliers
+from pulsespec.core import TwoLevelOperator, validate_density
+from pulsespec.dynamics import (
+    _free_step,
+    apply_pulse,
+    evolve_operator,
+    step_multipliers,
+)
 
 PAULI = {
     PulseAxis.X: np.array([[0, 1], [1, 0]], dtype=complex),
     PulseAxis.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
     PulseAxis.Z: np.array([[1, 0], [0, -1]], dtype=complex),
 }
+SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |g><e|, basis (e, g)
+STEPPERS = ("rk4", "exact")
 
 
 def random_operator(rng):
@@ -36,88 +38,146 @@ def random_operator(rng):
     return TwoLevelOperator.from_matrix(m)
 
 
+def lindblad_rhs(rho, delta, gamma):
+    """-i[H, rho] + gamma D[sigma_-] rho with H = diag(+delta/2, -delta/2)."""
+    h = np.diag([0.5 * delta, -0.5 * delta])
+    s, sd = SIGMA_MINUS, SIGMA_MINUS.conj().T
+    return (-1j * (h @ rho - rho @ h)
+            + gamma * (s @ rho @ sd - 0.5 * (sd @ s @ rho + rho @ sd @ s)))
+
+
+def rk4_oracle(rho, h, delta, gamma):
+    """One generic classical Runge-Kutta step of ``lindblad_rhs``."""
+    k1 = lindblad_rhs(rho, delta, gamma)
+    k2 = lindblad_rhs(rho + 0.5 * h * k1, delta, gamma)
+    k3 = lindblad_rhs(rho + 0.5 * h * k2, delta, gamma)
+    k4 = lindblad_rhs(rho + h * k3, delta, gamma)
+    return rho + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def exact_oracle(rho, h, delta, gamma):
+    """Closed-form solution of ``lindblad_rhs`` after a time h."""
+    decay = math.exp(-gamma * h)
+    coh = cmath.exp((1j * delta - 0.5 * gamma) * h)
+    (ee, eg), (ge, gg) = rho
+    return np.array([[ee * decay, eg * coh.conjugate()],
+                     [ge * coh, gg + ee * (1 - decay)]])
+
+
+ORACLES = {"rk4": rk4_oracle, "exact": exact_oracle}
+
+
+def free_step(op, h, delta, gamma, stepper):
+    """``_free_step`` with the rates given directly."""
+    params = SimParams(delta=delta, gamma=gamma, t_end=1.0, dt=0.5)
+    return _free_step(op, h, params, stepper)
+
+
+def assert_matches_oracle(op, h, delta, gamma, stepper, tol=1e-15):
+    out = free_step(op, h, delta, gamma, stepper).as_matrix()
+    ref = ORACLES[stepper](op.as_matrix(), h, delta, gamma)
+    assert np.max(np.abs(out - ref)) < tol
+
+
 class TestFreeDerivative:
+    """The generator of ``_free_step`` is the Lindblad right-hand side."""
+
     def test_population_decay(self):
-        d = free_derivative(TwoLevelOperator(ee=1), delta=0.0, gamma=2.0)
-        assert (d.ee, d.gg, d.eg, d.ge) == (-2.0, 2.0, 0, 0)
+        d = lindblad_rhs(TwoLevelOperator(ee=1).as_matrix(), 0.0, 2.0)
+        assert np.array_equal(d, [[-2.0, 0], [0, 2.0]])
+        for stepper in STEPPERS:
+            assert_matches_oracle(TwoLevelOperator(ee=1), 1e-3, 0.0, 2.0, stepper)
 
     def test_coherence_rotation(self):
-        d = free_derivative(TwoLevelOperator(ge=1), delta=3.0, gamma=2.0)
-        assert d.ge == pytest.approx(3j - 1)
-        assert d.eg == 0
+        # convention: d(ge)/dt = (i*delta - gamma/2)*ge
+        d = lindblad_rhs(TwoLevelOperator(ge=1).as_matrix(), 3.0, 2.0)
+        assert d[1, 0] == pytest.approx(3j - 1)
+        assert d[0, 1] == d[0, 0] == d[1, 1] == 0
+        for stepper in STEPPERS:
+            assert_matches_oracle(TwoLevelOperator(ge=1), 1e-3, 3.0, 2.0, stepper)
+            out = free_step(TwoLevelOperator(ge=1), 1e-3, 3.0, 2.0, stepper)
+            assert np.angle(out.ge) == pytest.approx(3e-3)
+            assert out.eg == 0
 
     def test_conjugate_coherence(self):
-        d = free_derivative(TwoLevelOperator(eg=1), delta=3.0, gamma=2.0)
-        assert d.eg == pytest.approx(-3j - 1)
+        d = lindblad_rhs(TwoLevelOperator(eg=1).as_matrix(), 3.0, 2.0)
+        assert d[0, 1] == pytest.approx(-3j - 1)
+        for stepper in STEPPERS:
+            assert_matches_oracle(TwoLevelOperator(eg=1), 1e-3, 3.0, 2.0, stepper)
+            out = free_step(TwoLevelOperator(eg=1), 1e-3, 3.0, 2.0, stepper)
+            assert np.angle(out.eg) == pytest.approx(-3e-3)
 
     def test_zero_operator(self):
-        assert free_derivative(TwoLevelOperator(), 1.0, 2.0) == TwoLevelOperator()
+        for stepper in STEPPERS:
+            assert free_step(TwoLevelOperator(), 1e-3, 1.0, 2.0,
+                             stepper) == TwoLevelOperator()
 
     def test_rejects_nonpositive_gamma(self):
-        with pytest.raises(ValueError):
-            free_derivative(TwoLevelOperator(ee=1), 0.0, 0.0)
+        # the rates reach _free_step only through SimParams
+        for gamma in (0.0, -2.0):
+            with pytest.raises(ValueError, match="gamma"):
+                SimParams(delta=0.0, gamma=gamma)
 
 
 class TestExactPropagator:
     def test_population_decay(self):
-        out = free_propagator_exact(TwoLevelOperator(ee=1), dt=1.0, delta=0.0,
-                                    gamma=2.0)
+        out = free_step(TwoLevelOperator(ee=1), 1.0, 0.0, 2.0, "exact")
         assert out.ee == pytest.approx(math.exp(-2.0))
         assert out.gg == pytest.approx(1 - math.exp(-2.0))
+        assert_matches_oracle(TwoLevelOperator(ee=1), 1.0, 0.0, 2.0, "exact")
 
     def test_coherence_phase_and_damping(self):
-        out = free_propagator_exact(TwoLevelOperator(ge=1), dt=0.5, delta=3.0,
-                                    gamma=2.0)
+        out = free_step(TwoLevelOperator(ge=1), 0.5, 3.0, 2.0, "exact")
         assert abs(out.ge) == pytest.approx(math.exp(-0.5))
         assert np.angle(out.ge) == pytest.approx(1.5)
 
     def test_zero_step_is_identity(self):
         rng = np.random.default_rng(7)
         op = random_operator(rng)
-        assert free_propagator_exact(op, 0.0, 2.5, 2.0) == op
+        for stepper in STEPPERS:
+            assert free_step(op, 0.0, 2.5, 2.0, stepper) == op
 
     def test_trace_preserved(self):
         op = TwoLevelOperator(ee=0.3, gg=0.7)
-        out = free_propagator_exact(op, 0.8, 1.0, 2.0)
-        assert out.trace == pytest.approx(1.0, abs=1e-15)
+        for stepper in STEPPERS:
+            out = free_step(op, 0.8, 1.0, 2.0, stepper)
+            assert out.trace == pytest.approx(1.0, abs=1e-15)
 
 
 class TestRK4:
     def test_matches_exponential_decay(self):
-        out = rk4_step(TwoLevelOperator(ee=1), dt=1e-3, delta=0.0, gamma=2.0)
+        out = free_step(TwoLevelOperator(ee=1), 1e-3, 0.0, 2.0, "rk4")
         assert abs(out.ee - math.exp(-2e-3)) < 1e-12
 
     def test_zero_operator(self):
-        assert rk4_step(TwoLevelOperator(), 1e-3, 1.0, 2.0) == TwoLevelOperator()
+        assert free_step(TwoLevelOperator(), 1e-3, 1.0, 2.0,
+                         "rk4") == TwoLevelOperator()
 
     def test_fourth_order_convergence(self):
-        # halving dt must shrink the error vs the exact propagator ~16x
+        # halving dt must shrink the error vs the closed form ~16x
         op0 = TwoLevelOperator(ee=0.6, eg=0.2 + 0.1j, ge=0.2 - 0.1j, gg=0.4)
         t_end, errs = 0.5, []
         for dt in (4e-3, 2e-3, 1e-3):
-            a, b = op0, op0
+            a, b = op0, op0.as_matrix()
             for _ in range(round(t_end / dt)):
-                a = rk4_step(a, dt, 6.0, 2.0)
-                b = free_propagator_exact(b, dt, 6.0, 2.0)
-            errs.append(max(abs(a.ee - b.ee), abs(a.eg - b.eg),
-                            abs(a.ge - b.ge), abs(a.gg - b.gg)))
+                a = free_step(a, dt, 6.0, 2.0, "rk4")
+                b = exact_oracle(b, dt, 6.0, 2.0)
+            errs.append(np.max(np.abs(a.as_matrix() - b)))
         order = np.polyfit(np.log([4e-3, 2e-3, 1e-3]), np.log(errs), 1)[0]
         assert order >= 3.9
 
-    @pytest.mark.parametrize("stepper", ["rk4", "exact"])
+    @pytest.mark.parametrize("stepper", STEPPERS)
     def test_step_multipliers_reproduce_steppers(self, stepper):
         rng = np.random.default_rng(11)
         op = random_operator(rng)
         h, delta, gamma = 7e-4, 4.2, 2.0
         decay, phase = step_multipliers(h, delta, gamma, stepper)
-        if stepper == "rk4":
-            ref = rk4_step(op, h, delta, gamma)
-        else:
-            ref = free_propagator_exact(op, h, delta, gamma)
-        assert abs(op.ee * decay - ref.ee) < 1e-15
-        assert abs(op.gg + (1 - decay) * op.ee - ref.gg) < 1e-15
-        assert abs(op.ge * phase - ref.ge) < 1e-15
-        assert abs(op.eg * phase.conjugate() - ref.eg) < 1e-15
+        ref = ORACLES[stepper](op.as_matrix(), h, delta, gamma)
+        assert abs(op.ee * decay - ref[0, 0]) < 1e-15
+        assert abs(op.gg + (1 - decay) * op.ee - ref[1, 1]) < 1e-15
+        assert abs(op.ge * phase - ref[1, 0]) < 1e-15
+        assert abs(op.eg * phase.conjugate() - ref[0, 1]) < 1e-15
+        assert_matches_oracle(op, h, delta, gamma, stepper)
 
 
 class TestApplyPulse:
@@ -173,10 +233,9 @@ class TestEvolveOperator:
         sched = PulseSchedule(events=(PulseEvent(1.0, PulseAxis.X),),
                               window_end=2.0)
         out = evolve_operator(TwoLevelOperator(ee=1), 0.0, 2.0, sched, self.params)
-        ref = free_propagator_exact(
-            apply_pulse(free_propagator_exact(TwoLevelOperator(ee=1), 1.0, 0.0, 2.0),
-                        PulseAxis.X),
-            1.0, 0.0, 2.0)
+        x = PAULI[PulseAxis.X]
+        half = exact_oracle(TwoLevelOperator(ee=1).as_matrix(), 1.0, 0.0, 2.0)
+        ref = TwoLevelOperator.from_matrix(exact_oracle(x @ half @ x, 1.0, 0.0, 2.0))
         assert out.ee == pytest.approx(ref.ee, abs=1e-10)
         assert out.ee == pytest.approx((1 - math.exp(-2.0)) * math.exp(-2.0),
                                        abs=1e-9)
@@ -205,12 +264,6 @@ class TestEvolveOperator:
         with pytest.raises(ValueError, match="t_from"):
             evolve_operator(TwoLevelOperator(ee=1), 1.5, 1.0, sched, self.params)
 
-    def test_rejects_off_lattice_record(self):
-        sched = no_drive_schedule(2.0)
-        with pytest.raises(ValueError, match="lattice"):
-            evolve_operator(TwoLevelOperator(ee=1), 0.0, 1.0, sched, self.params,
-                            record_grid=np.array([0.00037]))
-
     def test_linearity(self):
         sched = periodic_schedule([PulseAxis.X, PulseAxis.Y], 0.25, 4)
         params = SimParams(delta=1.5, gamma=2.0, t_end=1.0, dt=1e-3)
@@ -232,26 +285,22 @@ class TestDensityTrajectory:
     def test_free_decay_grid_values(self):
         params = SimParams(delta=0.0, gamma=2.0, t_end=2.0, dt=1e-3)
         traj = density_trajectory(no_drive_schedule(2.0), params)
-        ee = np.array([s.ee for s in traj.states])
-        assert np.max(np.abs(ee - np.exp(-2.0 * traj.t_grid))) < 1e-9
+        assert np.max(np.abs(traj.ee - np.exp(-2.0 * traj.t_grid))) < 1e-9
 
     def test_x_train_populations_swap(self):
         params = SimParams(delta=0.0, gamma=2.0, t_end=1.0, dt=1e-3)
         traj = density_trajectory(periodic_schedule([PulseAxis.X], 0.5, 2), params)
         k = round(0.5 / params.dt)
-        pre = traj.states[k - 1]
-        post = traj.states[k]  # stored state is post-pulse
-        assert post.ee == pytest.approx(pre.gg, abs=5e-3)
-        assert post.ee == pytest.approx(1 - math.exp(-1.0), abs=1e-3)
+        # the stored value at k is post-pulse
+        assert traj.ee[k] == pytest.approx(traj.gg[k - 1], abs=5e-3)
+        assert traj.ee[k] == pytest.approx(1 - math.exp(-1.0), abs=1e-3)
 
     def test_z_train_leaves_populations_free(self):
         params = SimParams(delta=1.0, gamma=2.0, t_end=1.2, dt=1e-3)
         with_z = density_trajectory(periodic_schedule([PulseAxis.Z], 0.2, 6), params)
         free = density_trajectory(no_drive_schedule(1.2), params)
-        ee_z = np.array([s.ee for s in with_z.states])
-        ee_f = np.array([s.ee for s in free.states])
         # pulse times split the step walk, so only ulp-level differences remain
-        assert np.max(np.abs(ee_z - ee_f)) < 1e-14
+        assert np.max(np.abs(with_z.ee - free.ee)) < 1e-14
 
     @pytest.mark.parametrize("make", [
         lambda: no_drive_schedule(1.0),
@@ -264,17 +313,14 @@ class TestDensityTrajectory:
         sched = make()
         params = SimParams(delta=3.0, gamma=2.0, t_end=1.0, dt=1e-3)
         traj = density_trajectory(sched, params)
-        for s in traj.states[::50]:
-            assert validate_density(s, tol=1e-9)
-            assert -1e-12 <= s.ee.real <= 1 + 1e-12
+        for ee, gg in zip(traj.ee[::50], traj.gg[::50]):
+            assert validate_density(TwoLevelOperator(ee=ee, gg=gg), tol=1e-9)
+            assert -1e-12 <= ee <= 1 + 1e-12
 
     def test_exact_stepper_agrees_with_rk4(self):
         params = SimParams(delta=6.0, gamma=2.0, t_end=2.0, dt=1e-3)
         sched = uhrig_schedule(6, 2.0)
         t1 = density_trajectory(sched, params, stepper="rk4")
         t2 = density_trajectory(sched, params, stepper="exact")
-        worst = max(
-            abs(getattr(a, n) - getattr(b, n))
-            for a, b in zip(t1.states[::100], t2.states[::100])
-            for n in ("ee", "eg", "ge", "gg"))
+        worst = max(np.max(np.abs(t1.ee - t2.ee)), np.max(np.abs(t1.gg - t2.gg)))
         assert worst < 1e-10

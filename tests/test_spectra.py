@@ -72,6 +72,9 @@ class TestSpectrumFromKernel:
             spectrum_from_kernel(kern, [])
         with pytest.raises(ValueError):
             spectrum_from_kernel(kern, [0.0, 1.0, 0.5])
+        for bad in ([0.0, np.nan, 1.0], [0.0, np.inf], [-np.inf, 0.0]):
+            with pytest.raises(ValueError, match="finite"):
+                spectrum_from_kernel(kern, bad)
 
     def test_mirror_symmetry_under_detuning_flip_z_train(self):
         # P at detuning d equals P at -d reflected in omega
