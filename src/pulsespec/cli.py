@@ -3,8 +3,8 @@
 Configuration comes from command-line flags, optionally layered on top of a
 plain ``key=value`` file (``#`` comments allowed); flags win. Results go to
 a CSV (one row per frequency) with a ``<output>.meta`` sidecar recording
-every resolved parameter, the kernel method and the warnings raised, and
-optionally a gnuplot script. ``python -m pulsespec`` and
+every resolved parameter, the kernel and transform methods and the warnings
+raised, and optionally a gnuplot script. ``python -m pulsespec`` and
 ``python -m pulsespec.cli`` run the same front-end.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
@@ -183,8 +183,12 @@ _FILE_PARSERS = {
 
 
 def _read_config_file(path: str) -> dict:
+    try:
+        f = open(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
     values = {}
-    with open(path) as f:
+    with f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -268,6 +272,7 @@ def _write_metadata(path: str, config: RunConfig, spec: SpectrumResult,
         lines.append(f"sum_rule_lhs={sum_rule[0]:.17g}")
         lines.append(f"sum_rule_rhs={sum_rule[1]:.17g}")
     lines.append("kernel_method=fft")
+    lines.append("transform_method=chirp-z")
     lines.append(f"warnings={' | '.join(notes)}")
     with open(path, "w", newline="\n") as f:
         f.write("\n".join(lines) + "\n")

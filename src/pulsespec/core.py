@@ -154,6 +154,30 @@ class PulseSchedule:
         return h.hexdigest()[:16]
 
 
+def window_tol(t_end: float) -> float:
+    """How far a time may lie from the window end t_end and still match it."""
+    return 1e-9 * max(1.0, t_end)
+
+
+def check_omega_grid(values) -> np.ndarray:
+    """Validate a detector grid and return it as a new float array.
+
+    A grid is nonempty, finite, strictly increasing and uniform: no point is
+    further from the affine grid through its end points than 1e-9 of the
+    largest |omega|, a margin far above rounding.
+    """
+    grid = np.array(values, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
+        raise ValueError("omega_grid must be a nonempty finite 1-d array")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("omega_grid must be strictly increasing")
+    step = (grid[-1] - grid[0]) / max(grid.size - 1, 1)
+    affine = grid[0] + np.arange(grid.size) * step
+    if np.max(np.abs(grid - affine)) > 1e-9 * np.max(np.abs(grid)):
+        raise ValueError("omega_grid must be uniform")
+    return grid
+
+
 @dataclass(frozen=True)
 class SimParams:
     """Physical and numerical parameters of one simulation run, all finite.
@@ -162,7 +186,7 @@ class SimParams:
     gamma      spontaneous emission rate (> 0); the natural unit choice is 2
     t_end      observation window T (> 0); must match the schedule window
     dt         integration step; t_end must be an integer number of steps
-    omega_grid detector frequencies, strictly increasing
+    omega_grid detector frequencies, uniform and strictly increasing
     """
 
     delta: float
@@ -178,15 +202,11 @@ class SimParams:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         n = round(self.t_end / self.dt)
-        if n < 1 or abs(n * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
+        if n < 1 or abs(n * self.dt - self.t_end) > window_tol(self.t_end):
             raise ValueError(
                 f"t_end={self.t_end} is not an integer multiple of dt={self.dt}"
             )
-        grid = np.asarray(self.omega_grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
-            raise ValueError("omega_grid must be a nonempty finite 1-d array")
-        if grid.size > 1 and np.any(np.diff(grid) <= 0):
-            raise ValueError("omega_grid must be strictly increasing")
+        grid = check_omega_grid(self.omega_grid)
         grid.flags.writeable = False
         object.__setattr__(self, "omega_grid", grid)
 
@@ -206,7 +226,7 @@ class SimParams:
         pulse gap only warns: coarse grids are legitimate for bookkeeping
         cross-checks, but production spectra want many steps per interval.
         """
-        if abs(schedule.window_end - self.t_end) > 1e-9 * max(1.0, self.t_end):
+        if abs(schedule.window_end - self.t_end) > window_tol(self.t_end):
             raise ValueError(
                 f"schedule window {schedule.window_end} != t_end {self.t_end}"
             )

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PulseAxis, PulseSchedule, SimParams, TwoLevelOperator
+from .core import PulseAxis, PulseSchedule, SimParams, TwoLevelOperator, window_tol
 
 #: fraction of dt below which two times are treated as coincident
 TIME_SNAP = 1e-9
@@ -111,9 +111,11 @@ def evolve_operator(op: TwoLevelOperator, t_from: float, t_to: float,
     Integration advances on the lattice t_from + k*dt; a pulse inside a
     lattice interval splits it into shortened substeps so the pulse acts at
     its exact time. A pulse exactly at t_from is not applied (assumed already
-    applied), a pulse exactly at t_to is.
+    applied), a pulse exactly at t_to is. t_to may pass the window end by
+    the ``window_tol`` that ``SimParams`` allows between t_end and n*dt.
     """
-    if not 0.0 <= t_from <= t_to <= schedule.window_end * (1 + 1e-12):
+    end = schedule.window_end
+    if not 0.0 <= t_from <= t_to <= end + window_tol(end):
         raise ValueError(
             f"need 0 <= t_from <= t_to <= window_end, got "
             f"[{t_from}, {t_to}] in window {schedule.window_end}"

@@ -1,5 +1,6 @@
 """Command-line front-end: exit codes, config layering, .meta, ``python -m``."""
 
+import errno
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ META_KEYS = [
     "protocol", "delta", "gamma", "n_pulses", "tau", "t_end", "dt",
     "omega_min", "omega_max", "omega_step", "observable", "average_deltas",
     "schedule_digest", "sum_rule_lhs", "sum_rule_rhs", "kernel_method",
-    "warnings",
+    "transform_method", "warnings",
 ]
 
 
@@ -126,6 +127,22 @@ def test_bad_config_line_names_its_place(tmp_path, capsys, line, message):
     assert list(tmp_path.iterdir()) == [Path(cfg)]
 
 
+@pytest.mark.parametrize("name, reason", [
+    ("nope.cfg", os.strerror(errno.ENOENT)),
+    ("cfg_dir", os.strerror(errno.EISDIR)),
+], ids=["missing", "directory"])
+def test_unreadable_config_file_is_a_configuration_error(tmp_path, capsys,
+                                                         name, reason):
+    cfg = tmp_path / name
+    if name == "cfg_dir":
+        cfg.mkdir()
+    out = tmp_path / "x.csv"
+    assert main(["--protocol", "none", "--config", str(cfg), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"configuration error: cannot read {cfg}: {reason}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ([name] if cfg.exists() else [])
+
+
 def test_meta_round_trip_with_warnings(tmp_path, capsys):
     out = tmp_path / "u.csv"
     argv = ["--protocol", "uhrig", "--n-pulses", "4", "--t-end", "0.4",
@@ -144,6 +161,7 @@ def test_meta_round_trip_with_warnings(tmp_path, capsys):
     assert float(meta["t_end"]) == params.t_end
     assert meta["schedule_digest"] == config.build_schedule().digest()
     assert meta["kernel_method"] == "fft"
+    assert meta["transform_method"] == "chirp-z"
 
     # dt resolves the shortest Uhrig gap with fewer than 10 steps
     notes = meta["warnings"].split(" | ")

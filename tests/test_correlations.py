@@ -303,6 +303,23 @@ class TestFftKernelOracles:
             direct = p * np.array([a[:n + 1 - j] @ sign[j:] for j in range(n + 1)])
             assert np.max(np.abs(g - direct)) < 1e-12 * abs(g[0])
 
+    @pytest.mark.parametrize("last_axis", [None, PulseAxis.Y])
+    def test_window_just_below_the_step_lattice(self, last_axis):
+        # SimParams accepts t_end within window_tol of n*dt, so the last grid
+        # point n*dt = 1 lies just past the window end; rows still reach it
+        t_end = 0.9999999995
+        events = () if last_axis is None else (
+            PulseEvent(0.5, PulseAxis.X), PulseEvent(t_end, last_axis))
+        sched = PulseSchedule(events=events, window_end=t_end)
+        fine = SimParams(delta=0.0, t_end=t_end, dt=1e-3)
+        c1, c2 = correlator_row(0.0, TwoLevelOperator(ee=1), sched, fine)
+        assert c1.size == c2.size == fine.n_steps + 1
+        params = SimParams(delta=2.0, t_end=t_end, dt=1e-2)
+        kern = accumulate_kernel(sched, params)
+        g1, g2 = row_loop_kernel(sched, params, "rk4")
+        assert np.max(np.abs(kern.g1 - g1)) < 1e-12
+        assert np.max(np.abs(kern.g2 - g2)) < 1e-12
+
     def test_never_builds_the_trajectory(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("accumulate_kernel called density_trajectory")

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulsespec import (
     CorrelationKernel,
@@ -22,6 +24,36 @@ from pulsespec import (
     uhrig_schedule,
 )
 from pulsespec.spectra import smooth3
+
+
+def dense_transform(kern, omega):
+    """Oracle: the trapezoidal sum, one row of exponentials per frequency.
+
+    Returns P and P' stacked as rows, and each row's scale sum |w G|.
+    """
+    theta = kern.theta_grid
+    w = np.full(theta.size, theta[1] - theta[0])
+    w[0] = w[-1] = w[0] / 2
+    f = w * np.stack([kern.g1, kern.g2])
+    rows = [2.0 * (f @ np.exp(-1j * o * theta)).real for o in omega]
+    return np.array(rows).T, np.abs(f).sum(axis=1)
+
+
+def assert_matches_dense(kern, omega):
+    spec = spectrum_from_kernel(kern, omega)
+    dense, scale = dense_transform(kern, spec.omega)
+    for got, want, tol in zip((spec.emission, spec.direct_absorption),
+                              dense, 1e-12 * scale):
+        assert np.max(np.abs(got - want)) <= tol
+
+
+PAPER_SCHEDULES = {
+    "none": no_drive_schedule(2.4),
+    "px": periodic_schedule([PulseAxis.X], 0.2, 12),
+    "pxpy": periodic_schedule([PulseAxis.X, PulseAxis.Y], 0.2, 12),
+    "pz": periodic_schedule([PulseAxis.Z], 0.2, 12),
+    "uhrig": uhrig_schedule(12, 2.4),
+}
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +107,59 @@ class TestSpectrumFromKernel:
         for bad in ([0.0, np.nan, 1.0], [0.0, np.inf], [-np.inf, 0.0]):
             with pytest.raises(ValueError, match="finite"):
                 spectrum_from_kernel(kern, bad)
+        for bad in ([0.0, 1.0, 3.0], np.geomspace(1.0, 40.0, 101)):
+            with pytest.raises(ValueError, match="omega_grid must be uniform"):
+                spectrum_from_kernel(kern, bad)
+            with pytest.raises(ValueError, match="omega_grid must be uniform"):
+                SimParams(delta=0.0, omega_grid=bad)
+        for good in (np.linspace(-40.0, 40.0, 3201), default_omega_grid(),
+                     default_omega_grid(960.0, 1040.0, 1e-3),
+                     [0.0, 0.1, 0.2, 0.3]):
+            spectrum_from_kernel(kern, good)
+            SimParams(delta=0.0, omega_grid=good)
+
+    def test_rejects_a_theta_grid_the_transform_cannot_take(self, free_decay):
+        # the chirp-z transform needs theta_n = n * dtheta
+        params, kern, _ = free_decay
+        n = kern.theta_grid.size
+        for theta in (kern.theta_grid + 0.5, np.r_[0.0, np.geomspace(1e-3, 6.0, n - 1)],
+                      kern.theta_grid[:1]):
+            bad = CorrelationKernel(theta_grid=theta, g1=kern.g1[:theta.size],
+                                    g2=kern.g2[:theta.size], params=params,
+                                    schedule_digest="bad")
+            with pytest.raises(ValueError, match="uniform from 0"):
+                spectrum_from_kernel(bad, params.omega_grid)
+
+    @pytest.mark.parametrize("delta", [0.0, 3.0, 8.0])
+    @pytest.mark.parametrize("protocol", sorted(PAPER_SCHEDULES))
+    def test_matches_dense_sum_on_paper_protocols(self, protocol, delta):
+        params = SimParams(delta=delta, gamma=2.0, t_end=2.4, dt=1e-2)
+        kern = accumulate_kernel(PAPER_SCHEDULES[protocol], params)
+        assert_matches_dense(kern, params.omega_grid)
+
+    @pytest.mark.parametrize("lo, hi, step", [(-10.0, 10.0, 0.05),
+                                              (960.0, 1040.0, 0.2)])
+    def test_matches_dense_sum_on_a_long_free_decay(self, lo, hi, step):
+        # N = 20001; on [960, 1040] only the far tail is seen (peak ~1e-6),
+        # so the bound is set by sum |w G|, not by the column peak
+        params = SimParams(delta=0.0, gamma=2.0, t_end=20.0, dt=1e-3)
+        kern = accumulate_kernel(no_drive_schedule(20.0), params)
+        assert_matches_dense(kern, default_omega_grid(lo, hi, step))
+
+    @pytest.mark.parametrize("omega", [[3.0], [-1.0, 2.5],
+                                       default_omega_grid(-1.0, 1.0, 1e-3)])
+    def test_matches_dense_sum_on_short_and_fine_grids(self, omega):
+        params = SimParams(delta=3.0, gamma=2.0, t_end=2.4, dt=1e-2)
+        kern = accumulate_kernel(PAPER_SCHEDULES["pxpy"], params)
+        assert_matches_dense(kern, omega)
+
+    @settings(max_examples=60, deadline=None)
+    @given(start=st.floats(-200.0, 200.0), step=st.floats(1e-3, 5.0),
+           size=st.integers(1, 300))
+    def test_matches_dense_sum_on_random_grids(self, start, step, size):
+        params = SimParams(delta=3.0, gamma=2.0, t_end=2.4, dt=1e-2)
+        kern = accumulate_kernel(PAPER_SCHEDULES["uhrig"], params)
+        assert_matches_dense(kern, start + np.arange(size) * step)
 
     def test_mirror_symmetry_under_detuning_flip_z_train(self):
         # P at detuning d equals P at -d reflected in omega
