@@ -164,25 +164,23 @@ def _parse_average(text: str) -> list[tuple[float, float]]:
     return pairs
 
 
-_FILE_PARSERS = {
-    "protocol": str,
-    "delta": float,
-    "gamma": float,
-    "n_pulses": int,
-    "tau": float,
-    "t_end": float,
-    "dt": float,
-    "omega_min": float,
-    "omega_max": float,
-    "omega_step": float,
-    "observable": str,
-    "output": str,
-    "average_deltas": str,
-    "plot_script": str,
-}
+def _config_keys(parser: argparse.ArgumentParser) -> dict[str, tuple[str, type]]:
+    """Config-file key -> (RunConfig field, value parser), one per flag.
+
+    Read off the parser's own flags, so each key is declared once; the file
+    key is the field name, except ``output`` for ``output_path``.
+    """
+    keys = {}
+    for action in parser._actions:
+        if action.dest in ("help", "config"):
+            continue
+        key = "output" if action.dest == "output_path" else action.dest
+        keys[key] = (action.dest, action.type or str)
+    return keys
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, keys: dict) -> dict:
+    """Values of a key=value file, by RunConfig field; ``keys`` as _config_keys."""
     try:
         f = open(path)
     except OSError as exc:
@@ -198,10 +196,11 @@ def _read_config_file(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in _FILE_PARSERS:
+            if key not in keys:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            dest, parse = keys[key]
             try:
-                values[key] = _FILE_PARSERS[key](value)
+                values[dest] = parse(value)
             except ValueError:
                 raise ConfigError(
                     f"{path}:{lineno}: {key}: cannot parse {value!r}"
@@ -211,21 +210,15 @@ def _read_config_file(path: str) -> dict:
 
 def parse_config(args: list[str], config_file: str | None = None) -> RunConfig:
     """Resolve a RunConfig from flags layered over an optional config file."""
-    ns = _build_parser().parse_args(args)
-    file_values = {}
+    parser = _build_parser()
+    ns = parser.parse_args(args)
+    keys = _config_keys(parser)
     path = ns.config or config_file
-    if path:
-        file_values = _read_config_file(path)
-    if "output" in file_values:
-        file_values["output_path"] = file_values.pop("output")
-
-    merged = dict(file_values)
-    for key in ("protocol", "delta", "gamma", "n_pulses", "tau", "t_end", "dt",
-                "omega_min", "omega_max", "omega_step", "observable",
-                "output_path", "average_deltas", "plot_script"):
-        flag = getattr(ns, key)
+    merged = _read_config_file(path, keys) if path else {}
+    for dest, _ in keys.values():
+        flag = getattr(ns, dest)
         if flag is not None:
-            merged[key] = flag
+            merged[dest] = flag
 
     if "protocol" not in merged:
         raise ConfigError("protocol: required")
@@ -243,12 +236,13 @@ def parse_config(args: list[str], config_file: str | None = None) -> RunConfig:
 
 
 def _write_csv(path: str, spec: SpectrumResult) -> None:
-    rows = zip(spec.omega, spec.emission, spec.direct_absorption,
-               spec.net_absorption)
+    rows = np.column_stack([spec.omega, spec.emission, spec.direct_absorption,
+                            spec.net_absorption])
     with open(path, "w", newline="\n") as f:
         f.write(CSV_HEADER + "\n")
-        for o, p, pp, q in rows:
-            f.write(f"{o:.11e},{p:.11e},{pp:.11e},{q:.11e}\n")
+        # one C-level format call; the same text as f"{x:.11e}" per value
+        f.write(("%.11e,%.11e,%.11e,%.11e\n" * len(rows))
+                % tuple(rows.ravel().tolist()))
 
 
 def _write_metadata(path: str, config: RunConfig, spec: SpectrumResult,

@@ -1,8 +1,9 @@
-"""Domain types and elementary operator algebra for a driven two-level emitter.
+"""Domain types of a pulse-driven two-level emitter.
 
-Everything lives in the two-dimensional {|e>, |g>} basis. Operators are kept
-as four explicit complex matrix elements rather than a generic matrix type:
-the equations of motion and the pulse maps are written per element.
+Pulse schedules, the run parameters and detector grid, and the two results
+the pipeline hands between stages: the theta kernels of the correlators and
+the spectra. Each validates its invariants when it is built, and its arrays
+are read-only copies of what the caller passed.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ from enum import Enum
 
 import numpy as np
 
-#: default tolerance for density-matrix validation
-DENSITY_TOL = 1e-9
-
 
 class PulseAxis(Enum):
     """Rotation axis of an instantaneous pi pulse."""
@@ -25,75 +23,6 @@ class PulseAxis(Enum):
     X = "x"
     Y = "y"
     Z = "z"
-
-
-@dataclass(frozen=True)
-class TwoLevelOperator:
-    """A general complex 2x2 operator in the {|e>, |g>} basis.
-
-    The same container holds the physical density matrix and the
-    non-Hermitian regression seeds (sigma_- rho and rho sigma_-), so no
-    Hermiticity or trace constraint is enforced at construction. Use
-    :func:`validate_density` to check the physical-state invariants.
-    """
-
-    ee: complex = 0j
-    eg: complex = 0j
-    ge: complex = 0j
-    gg: complex = 0j
-
-    @property
-    def trace(self) -> complex:
-        return self.ee + self.gg
-
-    def as_matrix(self) -> np.ndarray:
-        """Return the operator as a 2x2 complex array, rows/cols = (e, g)."""
-        return np.array([[self.ee, self.eg], [self.ge, self.gg]], dtype=complex)
-
-    @classmethod
-    def from_matrix(cls, m) -> "TwoLevelOperator":
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        return cls(ee=m[0, 0], eg=m[0, 1], ge=m[1, 0], gg=m[1, 1])
-
-
-def validate_density(op: TwoLevelOperator, tol: float = DENSITY_TOL) -> bool:
-    """Check whether ``op`` is a physical density matrix.
-
-    True iff the matrix is Hermitian (ge = conj(eg), real populations),
-    has unit trace, and both populations lie in [0, 1], all within ``tol``.
-    Pure predicate: never raises for a malformed operator.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if abs(op.ee.imag) > tol or abs(op.gg.imag) > tol:
-        return False
-    if abs(op.ge - op.eg.conjugate()) > tol:
-        return False
-    if abs(op.trace - 1.0) > tol:
-        return False
-    for p in (op.ee.real, op.gg.real):
-        if p < -tol or p > 1.0 + tol:
-            return False
-    return True
-
-
-def left_mul_sigma_minus(rho: TwoLevelOperator) -> TwoLevelOperator:
-    """Return sigma_- rho, the seed for the <sigma_+(t+theta) sigma_-(t)> row.
-
-    With sigma_- = |g><e| the product moves the top row of rho to the bottom:
-    ge <- rho.ee, gg <- rho.eg, everything else zero.
-    """
-    return TwoLevelOperator(ee=0j, eg=0j, ge=rho.ee, gg=rho.eg)
-
-
-def right_mul_sigma_minus(rho: TwoLevelOperator) -> TwoLevelOperator:
-    """Return rho sigma_-, the seed for the <sigma_-(t) sigma_+(t+theta)> row.
-
-    Moves the right column of rho to the left: ee <- rho.eg, ge <- rho.gg.
-    """
-    return TwoLevelOperator(ee=rho.eg, eg=0j, ge=rho.gg, gg=0j)
 
 
 @dataclass(frozen=True)
@@ -271,7 +200,7 @@ class CorrelationKernel:
         if len(self.g1) != len(self.theta_grid) or len(self.g2) != len(self.theta_grid):
             raise ValueError("kernel arrays must match the theta grid length")
         for name in ("theta_grid", "g1", "g2"):
-            arr = np.asarray(getattr(self, name))
+            arr = np.array(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -290,7 +219,7 @@ class SpectrumResult:
     def __post_init__(self):
         n = len(self.omega)
         for name in ("omega", "emission", "direct_absorption", "net_absorption"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             if len(arr) != n:
                 raise ValueError("spectrum arrays must share the omega grid length")
             arr.flags.writeable = False

@@ -11,62 +11,25 @@ t-integration happen first, so only the theta-indexed kernels
 
 are ever stored, never the full (t, theta) grid.
 
-``correlator_row`` computes one t-row at a time, stepping the seed with
-``evolve_operator`` one grid interval per theta sample; the tests use it as
-the oracle. ``accumulate_kernel`` works in the toggling frame instead. The
-coherences of rho stay zero, so both seeds are pure coherences (ge = rho_ee,
-resp. rho_gg) evolving under the monomial coherence map M of
-``dynamics.GridState``. So C1 = rho_ee(t) K and C2 = rho_gg(t) K with
+``accumulate_kernel`` works in the toggling frame. The coherences of rho
+stay zero, so both seeds are pure coherences (ge = rho_ee, resp. rho_gg)
+evolving under the monomial coherence map M of ``dynamics.GridState``. So
+C1 = rho_ee(t) K and C2 = rho_gg(t) K with
 K(t, theta) = [M(t+theta) M(t)^-1]_ge,ge, and each t-sum is a
-cross-correlation per coherence column, done with FFTs in O(N log N). The decay e^{theta*rate} is an envelope taken out first, so
-the FFT operands have modulus near one and long windows keep full
-precision.
+cross-correlation per coherence column, done with FFTs in O(N log N). The
+decay e^{theta*rate} is an envelope taken out first, so the FFT operands
+have modulus near one and long windows keep full precision.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    CorrelationKernel,
-    PulseSchedule,
-    SimParams,
-    TwoLevelOperator,
-    left_mul_sigma_minus,
-    right_mul_sigma_minus,
-)
-from .dynamics import TIME_SNAP, evolve_operator, grid_state
+from .core import CorrelationKernel, PulseSchedule, SimParams
+from .dynamics import grid_state
 
 
-def correlator_row(t_seed: float, rho_at_seed: TwoLevelOperator,
-                   schedule: PulseSchedule, params: SimParams,
-                   stepper: str = "rk4") -> tuple[np.ndarray, np.ndarray]:
-    """Correlators C1(t_seed, theta), C2(t_seed, theta) for theta in [0, T-t_seed].
-
-    ``rho_at_seed`` must be the density matrix at t_seed (post-pulse if a
-    pulse sits exactly there). Returns the two complex rows sampled on the
-    uniform theta grid with step dt. At theta = 0 they equal the excited and
-    ground populations at t_seed.
-    """
-    dt = params.dt
-    k = round(t_seed / dt)
-    if k < 0 or k > params.n_steps or abs(k * dt - t_seed) > TIME_SNAP * dt:
-        raise ValueError(
-            f"t_seed={t_seed} is not on the [0, {params.t_end}] grid with step {dt}"
-        )
-    grid = params.time_grid()[k:]
-    rows = []
-    for op in left_mul_sigma_minus(rho_at_seed), right_mul_sigma_minus(rho_at_seed):
-        row = [op.ge]
-        for a, b in zip(grid[:-1], grid[1:]):
-            op = evolve_operator(op, a, b, schedule, params, stepper=stepper)
-            row.append(op.ge)
-        rows.append(np.array(row, dtype=complex))
-    return rows[0], rows[1]
-
-
-def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
-                      stepper: str = "rk4") -> CorrelationKernel:
+def accumulate_kernel(schedule: PulseSchedule, params: SimParams) -> CorrelationKernel:
     """Reduce both correlators to their theta kernels G1, G2.
 
     G[j] = sum_k w_k C(t_k, theta_j) over the rows k = 0..N-j (the
@@ -77,7 +40,7 @@ def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
     it is real. Repeated runs are bit-identical.
     """
     params.check_schedule(schedule)
-    s = grid_state(schedule, params, stepper)
+    s = grid_state(schedule, params)
     n, dt = params.n_steps, params.dt
     w = np.full(n + 1, dt)
     w[0] = w[-1] = 0.5 * dt

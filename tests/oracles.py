@@ -1,0 +1,163 @@
+"""Reference implementations the tests compare the pipeline against.
+
+Everything here works on plain 2x2 complex matrices in the (e, g) basis,
+rows and columns ordered (e, g), so rho[1, 0] is the ge element. None of it
+shares code with the pipeline's maps: a pulse is a Pauli conjugation, a
+free step is one generic classical RK4 step of the Lindblad equation, and
+each grid interval is split at its pulses here. Only two tolerances are
+shared: TIME_SNAP, because a pulse that close to a grid point must coincide
+with it in both, and window_tol, so both accept the same window end.
+"""
+
+import math
+
+import numpy as np
+
+from pulsespec import PulseAxis
+from pulsespec.core import window_tol
+from pulsespec.dynamics import TIME_SNAP
+
+PAULI = {
+    PulseAxis.X: np.array([[0, 1], [1, 0]], dtype=complex),
+    PulseAxis.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
+    PulseAxis.Z: np.array([[1, 0], [0, -1]], dtype=complex),
+}
+SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |g><e|
+SIGMA_PLUS = SIGMA_MINUS.T.copy()
+
+def op(ee=0j, eg=0j, ge=0j, gg=0j):
+    """The 2x2 matrix with these elements, rows and columns (e, g)."""
+    return np.array([[ee, eg], [ge, gg]], dtype=complex)
+
+
+#: default tolerance of ``validate_density``
+DENSITY_TOL = 1e-9
+
+
+def validate_density(rho, tol: float = DENSITY_TOL) -> bool:
+    """Whether the 2x2 matrix rho is a physical density matrix, within tol.
+
+    Hermitian (real populations, ge = conj(eg)), unit trace, both
+    populations in [0, 1].
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    (ee, eg), (ge, gg) = np.asarray(rho, dtype=complex)
+    if abs(ee.imag) > tol or abs(gg.imag) > tol:
+        return False
+    if abs(ge - eg.conjugate()) > tol:
+        return False
+    if abs(ee + gg - 1.0) > tol:
+        return False
+    return all(-tol <= p <= 1.0 + tol for p in (ee.real, gg.real))
+
+
+def left_mul_sigma_minus(rho):
+    """sigma_- rho, the regression seed of <sigma_+(t+theta) sigma_-(t)>."""
+    return SIGMA_MINUS @ rho
+
+
+def right_mul_sigma_minus(rho):
+    """rho sigma_-, the regression seed of <sigma_-(t) sigma_+(t+theta)>."""
+    return rho @ SIGMA_MINUS
+
+
+def lindblad_rhs(rho, delta, gamma):
+    """-i[H, rho] + gamma D[sigma_-] rho with H = diag(+delta/2, -delta/2).
+
+    rho may be a stack of matrices, shape (..., 2, 2).
+    """
+    h = np.diag([0.5 * delta, -0.5 * delta])
+    s, sd = SIGMA_MINUS, SIGMA_PLUS
+    return (-1j * (h @ rho - rho @ h)
+            + gamma * (s @ rho @ sd - 0.5 * (sd @ s @ rho + rho @ sd @ s)))
+
+
+def rk4_oracle(rho, h, delta, gamma):
+    """One generic classical Runge-Kutta step of ``lindblad_rhs``."""
+    k1 = lindblad_rhs(rho, delta, gamma)
+    k2 = lindblad_rhs(rho + 0.5 * h * k1, delta, gamma)
+    k3 = lindblad_rhs(rho + 0.5 * h * k2, delta, gamma)
+    k4 = lindblad_rhs(rho + h * k3, delta, gamma)
+    return rho + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def evolve_operator(rho, t_from, t_to, schedule, params):
+    """Evolve rho (or a stack of them) from t_from to t_to.
+
+    RK4 steps run on the lattice t_from + k*dt, the last one shortened to
+    end at t_to. A pulse cuts the lattice interval (a, b] it falls in: the
+    step runs up to the pulse, the pulse acts, the step goes on to b. Times
+    within TIME_SNAP*dt coincide, so a pulse that close to a is left out
+    (it acted before), one that close to b acts at the end of the interval,
+    and no step shorter than that is taken.
+    """
+    end = schedule.window_end
+    if not 0.0 <= t_from <= t_to <= end + window_tol(end):
+        raise ValueError(f"need 0 <= t_from <= t_to <= window_end, got "
+                         f"[{t_from}, {t_to}] in window {end}")
+    dt = params.dt
+    snap = TIME_SNAP * dt
+    n = int(math.floor((t_to - t_from) / dt + TIME_SNAP))
+    marks = [t_from + k * dt for k in range(n + 1)]
+    if t_to - marks[-1] > snap:
+        marks.append(t_to)
+    else:
+        marks[-1] = t_to
+    rho = np.array(rho, dtype=complex)
+    for a, b in zip(marks[:-1], marks[1:]):
+        cur = a
+        for ev in schedule.events:
+            if a + snap < ev.time <= b + snap:
+                if ev.time - cur > snap:
+                    rho = rk4_oracle(rho, ev.time - cur, params.delta, params.gamma)
+                rho = PAULI[ev.axis] @ rho @ PAULI[ev.axis]
+                cur = ev.time
+        if b - cur > snap:
+            rho = rk4_oracle(rho, b - cur, params.delta, params.gamma)
+    return rho
+
+
+def correlator_row(t_seed, rho_at_seed, schedule, params):
+    """C1(t_seed, theta) and C2(t_seed, theta) for theta = 0, dt, ..., T - t_seed.
+
+    ``rho_at_seed`` is the density matrix at the grid time t_seed
+    (post-pulse if a pulse sits there). Both seeds are evolved one grid
+    interval at a time and their ge element read off.
+    """
+    dt = params.dt
+    k = round(t_seed / dt)
+    if k < 0 or k > params.n_steps or abs(k * dt - t_seed) > TIME_SNAP * dt:
+        raise ValueError(
+            f"t_seed={t_seed} is not on the [0, {params.t_end}] grid with step {dt}")
+    grid = params.time_grid()[k:]
+    seeds = np.stack([left_mul_sigma_minus(rho_at_seed),
+                      right_mul_sigma_minus(rho_at_seed)])
+    rows = [seeds[:, 1, 0]]
+    for a, b in zip(grid[:-1], grid[1:]):
+        seeds = evolve_operator(seeds, a, b, schedule, params)
+        rows.append(seeds[:, 1, 0])
+    c1, c2 = np.array(rows).T
+    return c1, c2
+
+
+def row_loop_kernel(schedule, params):
+    """G1, G2 summed row by row from ``correlator_row``, trapezoidal in t.
+
+    The density matrix at each seed time comes from ``evolve_operator``,
+    one grid interval at a time from the excited state.
+    """
+    n, dt = params.n_steps, params.dt
+    w = np.full(n + 1, dt)
+    w[0] = w[-1] = dt / 2
+    grid = params.time_grid()
+    rho = op(ee=1.0)
+    g1 = np.zeros(n + 1, dtype=complex)
+    g2 = np.zeros(n + 1, dtype=complex)
+    for k in range(n + 1):
+        if k:
+            rho = evolve_operator(rho, grid[k - 1], grid[k], schedule, params)
+        c1, c2 = correlator_row(grid[k], rho, schedule, params)
+        g1[:c1.size] += w[k] * c1
+        g2[:c2.size] += w[k] * c2
+    return g1, g2

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pulsespec
-from pulsespec import cli
+from pulsespec import SimParams, SpectrumResult, cli
 from pulsespec.cli import CSV_HEADER, main, parse_config
 
 META_KEYS = [
@@ -125,6 +126,17 @@ def test_bad_config_line_names_its_place(tmp_path, capsys, line, message):
     err = capsys.readouterr().err
     assert f"{cfg}:3: {message}" in err
     assert list(tmp_path.iterdir()) == [Path(cfg)]
+
+
+def test_csv_text_is_the_per_value_format(tmp_path):
+    # signed zeros, subnormals and three-digit exponents
+    cols = np.array([0.0, -0.0, 5e-324, -2.2e-310, 1e-300, -1.7976931348623157e308,
+                     1e300, 1.0 / 3.0, -4.5e-7, 1e22, 123456.789, -2.5]).reshape(4, 3)
+    spec = SpectrumResult(*cols, params=SimParams(delta=0.0), schedule_digest="x")
+    path = tmp_path / "x.csv"
+    cli._write_csv(str(path), spec)
+    rows = "".join(f"{o:.11e},{p:.11e},{pp:.11e},{q:.11e}\n" for o, p, pp, q in cols.T)
+    assert path.read_bytes() == (CSV_HEADER + "\n" + rows).encode()
 
 
 @pytest.mark.parametrize("name, reason", [

@@ -1,24 +1,25 @@
-"""Core types: density validation, regression seeds, schedules, parameters."""
+"""Core types: schedules and parameters; the oracles' density check and seeds."""
 
 import numpy as np
 import pytest
 
 from pulsespec import (
+    CorrelationKernel,
     PulseAxis,
     PulseEvent,
     PulseSchedule,
     SimParams,
+    SpectrumResult,
     default_omega_grid,
 )
-from pulsespec.core import (
-    TwoLevelOperator,
+
+from oracles import (
+    SIGMA_PLUS,
     left_mul_sigma_minus,
+    op,
     right_mul_sigma_minus,
     validate_density,
 )
-
-SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
-SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)
 
 
 def random_physical_rho(rng):
@@ -27,71 +28,61 @@ def random_physical_rho(rng):
     r = rng.uniform(0.0, np.sqrt(p * (1 - p)))
     phi = rng.uniform(0, 2 * np.pi)
     c = r * np.exp(1j * phi)
-    return TwoLevelOperator(ee=p, eg=c, ge=np.conj(c), gg=1 - p)
+    return op(ee=p, eg=c, ge=np.conj(c), gg=1 - p)
 
 
 class TestValidateDensity:
     def test_excited_state(self):
-        op = TwoLevelOperator(ee=1, gg=0)
-        assert validate_density(op, tol=1e-12)
+        assert validate_density(op(ee=1, gg=0), tol=1e-12)
 
     def test_hermitian_half_half(self):
-        op = TwoLevelOperator(ee=0.5, gg=0.5, eg=0.1 + 0.2j, ge=0.1 - 0.2j)
-        assert validate_density(op, tol=1e-12)
+        rho = op(ee=0.5, gg=0.5, eg=0.1 + 0.2j, ge=0.1 - 0.2j)
+        assert validate_density(rho, tol=1e-12)
 
     def test_trace_violation(self):
-        op = TwoLevelOperator(ee=0.7, gg=0.5)
-        assert not validate_density(op, tol=1e-12)
+        assert not validate_density(op(ee=0.7, gg=0.5), tol=1e-12)
 
     def test_non_hermitian(self):
-        op = TwoLevelOperator(ee=0.5, gg=0.5, eg=0.1, ge=0.2)
-        assert not validate_density(op, tol=1e-12)
+        assert not validate_density(op(ee=0.5, gg=0.5, eg=0.1, ge=0.2), tol=1e-12)
 
     def test_population_out_of_range(self):
-        op = TwoLevelOperator(ee=1.2, gg=-0.2)
-        assert not validate_density(op, tol=1e-12)
+        assert not validate_density(op(ee=1.2, gg=-0.2), tol=1e-12)
 
     def test_bad_tol(self):
         with pytest.raises(ValueError):
-            validate_density(TwoLevelOperator(ee=1), tol=0.0)
+            validate_density(op(ee=1), tol=0.0)
 
 
 class TestRegressionSeeds:
     def test_left_mul_excited(self):
-        out = left_mul_sigma_minus(TwoLevelOperator(ee=1))
-        assert (out.ge, out.ee, out.eg, out.gg) == (1, 0, 0, 0)
+        assert np.array_equal(left_mul_sigma_minus(op(ee=1)), op(ge=1))
 
     def test_left_mul_ground_annihilates(self):
-        out = left_mul_sigma_minus(TwoLevelOperator(gg=1))
-        assert out == TwoLevelOperator()
+        assert np.array_equal(left_mul_sigma_minus(op(gg=1)), op())
 
     def test_left_mul_coherence(self):
-        rho = TwoLevelOperator(ee=0.4, eg=0.3j, ge=-0.3j, gg=0.6)
-        out = left_mul_sigma_minus(rho)
-        assert out.gg == 0.3j and out.ge == 0.4 and out.ee == 0 and out.eg == 0
+        rho = op(ee=0.4, eg=0.3j, ge=-0.3j, gg=0.6)
+        assert np.array_equal(left_mul_sigma_minus(rho), op(ge=0.4, gg=0.3j))
 
     def test_right_mul_ground(self):
-        out = right_mul_sigma_minus(TwoLevelOperator(gg=1))
-        assert (out.ge, out.ee, out.eg, out.gg) == (1, 0, 0, 0)
+        assert np.array_equal(right_mul_sigma_minus(op(gg=1)), op(ge=1))
 
     def test_right_mul_excited_annihilates(self):
-        out = right_mul_sigma_minus(TwoLevelOperator(ee=1))
-        assert out == TwoLevelOperator()
+        assert np.array_equal(right_mul_sigma_minus(op(ee=1)), op())
 
     def test_right_mul_coherence(self):
-        rho = TwoLevelOperator(ee=0.5, eg=0.5, ge=0.5, gg=0.5)
-        out = right_mul_sigma_minus(rho)
-        assert out.ee == 0.5 and out.ge == 0.5 and out.eg == 0 and out.gg == 0
+        rho = op(ee=0.5, eg=0.5, ge=0.5, gg=0.5)
+        assert np.array_equal(right_mul_sigma_minus(rho), op(ee=0.5, ge=0.5))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_matrix_product(self, seed):
+        # sigma_- moves the top row of m to the bottom, or its right column
+        # to the left
         rng = np.random.default_rng(seed)
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rho = TwoLevelOperator.from_matrix(m)
-        left = left_mul_sigma_minus(rho).as_matrix()
-        right = right_mul_sigma_minus(rho).as_matrix()
-        assert np.allclose(left, SIGMA_MINUS @ m, atol=0)
-        assert np.allclose(right, m @ SIGMA_MINUS, atol=0)
+        (ee, eg), (ge, gg) = m
+        assert np.array_equal(left_mul_sigma_minus(m), op(ge=ee, gg=eg))
+        assert np.array_equal(right_mul_sigma_minus(m), op(ee=eg, ge=gg))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_trace_identities(self, seed):
@@ -99,9 +90,9 @@ class TestRegressionSeeds:
         rng = np.random.default_rng(100 + seed)
         rho = random_physical_rho(rng)
         left = left_mul_sigma_minus(rho)
-        assert np.trace(SIGMA_PLUS @ left.as_matrix()) == pytest.approx(rho.ee)
-        assert left.ge == rho.ee
-        assert right_mul_sigma_minus(rho).ge == rho.gg
+        assert np.trace(SIGMA_PLUS @ left) == pytest.approx(rho[0, 0])
+        assert left[1, 0] == rho[0, 0]
+        assert right_mul_sigma_minus(rho)[1, 0] == rho[1, 1]
 
 
 class TestPulseSchedule:
@@ -201,3 +192,23 @@ class TestSimParams:
         s = PulseSchedule(events=(PulseEvent(0.2, PulseAxis.X),), window_end=0.4)
         with pytest.warns(UserWarning, match="fewer than 10 steps"):
             p.check_schedule(s)
+
+
+class TestResultTypes:
+    def test_kernel_copies_the_callers_arrays(self):
+        params = SimParams(delta=0, t_end=0.01, dt=1e-3)
+        theta = params.time_grid()
+        g = np.ones(theta.size, complex)
+        kern = CorrelationKernel(theta, g, g.copy(), params, "x")
+        theta[0], g[0] = 0.1, 2.0  # the caller's arrays stay writable
+        assert (kern.theta_grid[0], kern.g1[0]) == (0.0, 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            kern.g1[0] = 0.0
+
+    def test_spectrum_copies_the_callers_arrays(self):
+        omega, p = np.linspace(-1.0, 1.0, 5), np.ones(5)
+        spec = SpectrumResult(omega, p, p.copy(), np.zeros(5), SimParams(delta=0), "x")
+        omega[0], p[0] = 9.0, 2.0
+        assert (spec.omega[0], spec.emission[0]) == (-1.0, 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            spec.emission[0] = 0.0

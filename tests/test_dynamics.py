@@ -16,43 +16,31 @@ from pulsespec import (
     periodic_schedule,
     uhrig_schedule,
 )
-from pulsespec.core import TwoLevelOperator, validate_density
-from pulsespec.dynamics import (
-    _free_step,
-    apply_pulse,
+from pulsespec.dynamics import _free_step, apply_pulse, step_multipliers
+
+from oracles import (
+    PAULI,
     evolve_operator,
-    step_multipliers,
+    lindblad_rhs,
+    op,
+    rk4_oracle,
+    validate_density,
 )
 
-PAULI = {
-    PulseAxis.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    PulseAxis.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    PulseAxis.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-}
-SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |g><e|, basis (e, g)
-STEPPERS = ("rk4", "exact")
+
+def state(m):
+    """The pipeline state (ee, gg, ge, eg) of a 2x2 matrix."""
+    return m[0, 0], m[1, 1], m[1, 0], m[0, 1]
+
+
+def matrix(s):
+    """The 2x2 matrix of a pipeline state (ee, gg, ge, eg)."""
+    ee, gg, ge, eg = s
+    return op(ee=ee, eg=eg, ge=ge, gg=gg)
 
 
 def random_operator(rng):
-    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    return TwoLevelOperator.from_matrix(m)
-
-
-def lindblad_rhs(rho, delta, gamma):
-    """-i[H, rho] + gamma D[sigma_-] rho with H = diag(+delta/2, -delta/2)."""
-    h = np.diag([0.5 * delta, -0.5 * delta])
-    s, sd = SIGMA_MINUS, SIGMA_MINUS.conj().T
-    return (-1j * (h @ rho - rho @ h)
-            + gamma * (s @ rho @ sd - 0.5 * (sd @ s @ rho + rho @ sd @ s)))
-
-
-def rk4_oracle(rho, h, delta, gamma):
-    """One generic classical Runge-Kutta step of ``lindblad_rhs``."""
-    k1 = lindblad_rhs(rho, delta, gamma)
-    k2 = lindblad_rhs(rho + 0.5 * h * k1, delta, gamma)
-    k3 = lindblad_rhs(rho + 0.5 * h * k2, delta, gamma)
-    k4 = lindblad_rhs(rho + h * k3, delta, gamma)
-    return rho + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
 
 
 def exact_oracle(rho, h, delta, gamma):
@@ -64,18 +52,15 @@ def exact_oracle(rho, h, delta, gamma):
                      [ge * coh, gg + ee * (1 - decay)]])
 
 
-ORACLES = {"rk4": rk4_oracle, "exact": exact_oracle}
-
-
-def free_step(op, h, delta, gamma, stepper):
-    """``_free_step`` with the rates given directly."""
+def free_step(m, h, delta, gamma):
+    """``_free_step`` on a matrix, with the rates given directly."""
     params = SimParams(delta=delta, gamma=gamma, t_end=1.0, dt=0.5)
-    return _free_step(op, h, params, stepper)
+    return matrix(_free_step(state(m), h, params))
 
 
-def assert_matches_oracle(op, h, delta, gamma, stepper, tol=1e-15):
-    out = free_step(op, h, delta, gamma, stepper).as_matrix()
-    ref = ORACLES[stepper](op.as_matrix(), h, delta, gamma)
+def assert_matches_oracle(m, h, delta, gamma, tol=1e-15):
+    out = free_step(m, h, delta, gamma)
+    ref = rk4_oracle(m, h, delta, gamma)
     assert np.max(np.abs(out - ref)) < tol
 
 
@@ -83,34 +68,29 @@ class TestFreeDerivative:
     """The generator of ``_free_step`` is the Lindblad right-hand side."""
 
     def test_population_decay(self):
-        d = lindblad_rhs(TwoLevelOperator(ee=1).as_matrix(), 0.0, 2.0)
+        d = lindblad_rhs(op(ee=1), 0.0, 2.0)
         assert np.array_equal(d, [[-2.0, 0], [0, 2.0]])
-        for stepper in STEPPERS:
-            assert_matches_oracle(TwoLevelOperator(ee=1), 1e-3, 0.0, 2.0, stepper)
+        assert_matches_oracle(op(ee=1), 1e-3, 0.0, 2.0)
 
     def test_coherence_rotation(self):
         # convention: d(ge)/dt = (i*delta - gamma/2)*ge
-        d = lindblad_rhs(TwoLevelOperator(ge=1).as_matrix(), 3.0, 2.0)
+        d = lindblad_rhs(op(ge=1), 3.0, 2.0)
         assert d[1, 0] == pytest.approx(3j - 1)
         assert d[0, 1] == d[0, 0] == d[1, 1] == 0
-        for stepper in STEPPERS:
-            assert_matches_oracle(TwoLevelOperator(ge=1), 1e-3, 3.0, 2.0, stepper)
-            out = free_step(TwoLevelOperator(ge=1), 1e-3, 3.0, 2.0, stepper)
-            assert np.angle(out.ge) == pytest.approx(3e-3)
-            assert out.eg == 0
+        assert_matches_oracle(op(ge=1), 1e-3, 3.0, 2.0)
+        out = free_step(op(ge=1), 1e-3, 3.0, 2.0)
+        assert np.angle(out[1, 0]) == pytest.approx(3e-3)
+        assert out[0, 1] == 0
 
     def test_conjugate_coherence(self):
-        d = lindblad_rhs(TwoLevelOperator(eg=1).as_matrix(), 3.0, 2.0)
+        d = lindblad_rhs(op(eg=1), 3.0, 2.0)
         assert d[0, 1] == pytest.approx(-3j - 1)
-        for stepper in STEPPERS:
-            assert_matches_oracle(TwoLevelOperator(eg=1), 1e-3, 3.0, 2.0, stepper)
-            out = free_step(TwoLevelOperator(eg=1), 1e-3, 3.0, 2.0, stepper)
-            assert np.angle(out.eg) == pytest.approx(-3e-3)
+        assert_matches_oracle(op(eg=1), 1e-3, 3.0, 2.0)
+        out = free_step(op(eg=1), 1e-3, 3.0, 2.0)
+        assert np.angle(out[0, 1]) == pytest.approx(-3e-3)
 
     def test_zero_operator(self):
-        for stepper in STEPPERS:
-            assert free_step(TwoLevelOperator(), 1e-3, 1.0, 2.0,
-                             stepper) == TwoLevelOperator()
+        assert np.array_equal(free_step(op(), 1e-3, 1.0, 2.0), op())
 
     def test_rejects_nonpositive_gamma(self):
         # the rates reach _free_step only through SimParams
@@ -119,150 +99,132 @@ class TestFreeDerivative:
                 SimParams(delta=0.0, gamma=gamma)
 
 
-class TestExactPropagator:
-    def test_population_decay(self):
-        out = free_step(TwoLevelOperator(ee=1), 1.0, 0.0, 2.0, "exact")
-        assert out.ee == pytest.approx(math.exp(-2.0))
-        assert out.gg == pytest.approx(1 - math.exp(-2.0))
-        assert_matches_oracle(TwoLevelOperator(ee=1), 1.0, 0.0, 2.0, "exact")
+class TestRK4:
+    def test_matches_exponential_decay(self):
+        out = free_step(op(ee=1), 1e-3, 0.0, 2.0)
+        assert abs(out[0, 0] - math.exp(-2e-3)) < 1e-12
 
-    def test_coherence_phase_and_damping(self):
-        out = free_step(TwoLevelOperator(ge=1), 0.5, 3.0, 2.0, "exact")
-        assert abs(out.ge) == pytest.approx(math.exp(-0.5))
-        assert np.angle(out.ge) == pytest.approx(1.5)
+    def test_zero_operator(self):
+        assert np.array_equal(free_step(op(), 1e-3, 1.0, 2.0), op())
 
     def test_zero_step_is_identity(self):
         rng = np.random.default_rng(7)
-        op = random_operator(rng)
-        for stepper in STEPPERS:
-            assert free_step(op, 0.0, 2.5, 2.0, stepper) == op
+        m = random_operator(rng)
+        assert np.array_equal(free_step(m, 0.0, 2.5, 2.0), m)
 
     def test_trace_preserved(self):
-        op = TwoLevelOperator(ee=0.3, gg=0.7)
-        for stepper in STEPPERS:
-            out = free_step(op, 0.8, 1.0, 2.0, stepper)
-            assert out.trace == pytest.approx(1.0, abs=1e-15)
-
-
-class TestRK4:
-    def test_matches_exponential_decay(self):
-        out = free_step(TwoLevelOperator(ee=1), 1e-3, 0.0, 2.0, "rk4")
-        assert abs(out.ee - math.exp(-2e-3)) < 1e-12
-
-    def test_zero_operator(self):
-        assert free_step(TwoLevelOperator(), 1e-3, 1.0, 2.0,
-                         "rk4") == TwoLevelOperator()
+        out = free_step(op(ee=0.3, gg=0.7), 0.8, 1.0, 2.0)
+        assert np.trace(out) == pytest.approx(1.0, abs=1e-15)
 
     def test_fourth_order_convergence(self):
         # halving dt must shrink the error vs the closed form ~16x
-        op0 = TwoLevelOperator(ee=0.6, eg=0.2 + 0.1j, ge=0.2 - 0.1j, gg=0.4)
+        m0 = op(ee=0.6, eg=0.2 + 0.1j, ge=0.2 - 0.1j, gg=0.4)
         t_end, errs = 0.5, []
         for dt in (4e-3, 2e-3, 1e-3):
-            a, b = op0, op0.as_matrix()
+            a, b = m0, m0
             for _ in range(round(t_end / dt)):
-                a = free_step(a, dt, 6.0, 2.0, "rk4")
+                a = free_step(a, dt, 6.0, 2.0)
                 b = exact_oracle(b, dt, 6.0, 2.0)
-            errs.append(np.max(np.abs(a.as_matrix() - b)))
+            errs.append(np.max(np.abs(a - b)))
         order = np.polyfit(np.log([4e-3, 2e-3, 1e-3]), np.log(errs), 1)[0]
         assert order >= 3.9
 
-    @pytest.mark.parametrize("stepper", STEPPERS)
-    def test_step_multipliers_reproduce_steppers(self, stepper):
+    def test_step_multipliers_reproduce_rk4(self):
         rng = np.random.default_rng(11)
-        op = random_operator(rng)
+        m = random_operator(rng)
+        (ee, eg), (ge, gg) = m
         h, delta, gamma = 7e-4, 4.2, 2.0
-        decay, phase = step_multipliers(h, delta, gamma, stepper)
-        ref = ORACLES[stepper](op.as_matrix(), h, delta, gamma)
-        assert abs(op.ee * decay - ref[0, 0]) < 1e-15
-        assert abs(op.gg + (1 - decay) * op.ee - ref[1, 1]) < 1e-15
-        assert abs(op.ge * phase - ref[1, 0]) < 1e-15
-        assert abs(op.eg * phase.conjugate() - ref[0, 1]) < 1e-15
-        assert_matches_oracle(op, h, delta, gamma, stepper)
+        decay, phase = step_multipliers(h, delta, gamma)
+        ref = rk4_oracle(m, h, delta, gamma)
+        assert abs(ee * decay - ref[0, 0]) < 1e-15
+        assert abs(gg + (1 - decay) * ee - ref[1, 1]) < 1e-15
+        assert abs(ge * phase - ref[1, 0]) < 1e-15
+        assert abs(eg * phase.conjugate() - ref[0, 1]) < 1e-15
+        assert_matches_oracle(m, h, delta, gamma)
 
 
 class TestApplyPulse:
     def test_x_inverts_populations(self):
-        out = apply_pulse(TwoLevelOperator(ee=1), PulseAxis.X)
-        assert (out.ee, out.gg) == (0, 1)
+        ee, gg, _, _ = apply_pulse(state(op(ee=1)), PulseAxis.X)
+        assert (ee, gg) == (0, 1)
 
     def test_z_flips_coherences_only(self):
-        op = TwoLevelOperator(ee=0.3, gg=0.7, eg=0.5, ge=0.5)
-        out = apply_pulse(op, PulseAxis.Z)
-        assert (out.eg, out.ge) == (-0.5, -0.5)
-        assert (out.ee, out.gg) == (0.3, 0.7)
+        out = apply_pulse(state(op(ee=0.3, gg=0.7, eg=0.5, ge=0.5)), PulseAxis.Z)
+        assert out == (0.3, 0.7, -0.5, -0.5)
 
     def test_y_example(self):
-        op = TwoLevelOperator(ee=0.3, gg=0.7, eg=0.2j, ge=-0.2j)
-        out = apply_pulse(op, PulseAxis.Y)
-        assert (out.ee, out.gg) == (0.7, 0.3)
-        assert out.eg == 0.2j and out.ge == -0.2j
+        m = op(ee=0.3, gg=0.7, eg=0.2j, ge=-0.2j)
+        ee, gg, ge, eg = apply_pulse(state(m), PulseAxis.Y)
+        assert (ee, gg) == (0.7, 0.3)
+        assert eg == 0.2j and ge == -0.2j
 
     @pytest.mark.parametrize("axis", list(PulseAxis))
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_pauli_conjugation(self, axis, seed):
         rng = np.random.default_rng(1000 * seed + 1)
-        op = random_operator(rng)
-        expect = PAULI[axis] @ op.as_matrix() @ PAULI[axis]
-        assert np.allclose(apply_pulse(op, axis).as_matrix(), expect, atol=1e-15)
+        m = random_operator(rng)
+        expect = PAULI[axis] @ m @ PAULI[axis]
+        assert np.allclose(matrix(apply_pulse(state(m), axis)), expect, atol=1e-15)
 
     @pytest.mark.parametrize("axis", list(PulseAxis))
     def test_involution(self, axis):
         rng = np.random.default_rng(42)
-        op = random_operator(rng)
-        assert apply_pulse(apply_pulse(op, axis), axis) == op
+        s = state(random_operator(rng))
+        assert apply_pulse(apply_pulse(s, axis), axis) == s
 
     @pytest.mark.parametrize("axis", list(PulseAxis))
     def test_preserves_trace_and_hermiticity(self, axis):
-        op = TwoLevelOperator(ee=0.4, gg=0.6, eg=0.2 + 0.1j, ge=0.2 - 0.1j)
-        out = apply_pulse(op, axis)
-        assert out.trace == op.trace
+        m = op(ee=0.4, gg=0.6, eg=0.2 + 0.1j, ge=0.2 - 0.1j)
+        out = matrix(apply_pulse(state(m), axis))
+        assert np.trace(out) == np.trace(m)
         assert validate_density(out, tol=1e-12)
 
 
 class TestEvolveOperator:
+    """The oracle's own integrator: pulses split the lattice intervals."""
+
     def setup_method(self):
         self.params = SimParams(delta=0.0, gamma=2.0, t_end=2.0, dt=1e-3)
 
     def test_free_decay(self):
         sched = no_drive_schedule(2.0)
-        out = evolve_operator(TwoLevelOperator(ee=1), 0.0, 2.0, sched, self.params)
-        assert out.ee == pytest.approx(math.exp(-4.0), rel=1e-10)
+        out = evolve_operator(op(ee=1), 0.0, 2.0, sched, self.params)
+        assert out[0, 0] == pytest.approx(math.exp(-4.0), rel=1e-10)
 
     def test_single_x_pulse_matches_exact_composition(self):
         # oracle: exact propagator, pulse map, exact propagator
         sched = PulseSchedule(events=(PulseEvent(1.0, PulseAxis.X),),
                               window_end=2.0)
-        out = evolve_operator(TwoLevelOperator(ee=1), 0.0, 2.0, sched, self.params)
+        out = evolve_operator(op(ee=1), 0.0, 2.0, sched, self.params)
         x = PAULI[PulseAxis.X]
-        half = exact_oracle(TwoLevelOperator(ee=1).as_matrix(), 1.0, 0.0, 2.0)
-        ref = TwoLevelOperator.from_matrix(exact_oracle(x @ half @ x, 1.0, 0.0, 2.0))
-        assert out.ee == pytest.approx(ref.ee, abs=1e-10)
-        assert out.ee == pytest.approx((1 - math.exp(-2.0)) * math.exp(-2.0),
-                                       abs=1e-9)
+        half = exact_oracle(op(ee=1), 1.0, 0.0, 2.0)
+        ref = exact_oracle(x @ half @ x, 1.0, 0.0, 2.0)
+        assert out[0, 0] == pytest.approx(ref[0, 0], abs=1e-10)
+        assert out[0, 0] == pytest.approx((1 - math.exp(-2.0)) * math.exp(-2.0),
+                                          abs=1e-9)
 
     def test_chained_halves_match_single_run(self):
         sched = uhrig_schedule(4, 2.0)
         params = SimParams(delta=2.0, gamma=2.0, t_end=2.0, dt=1e-3)
-        full = evolve_operator(TwoLevelOperator(ee=1), 0.0, 2.0, sched, params)
-        half = evolve_operator(TwoLevelOperator(ee=1), 0.0, 1.0, sched, params)
+        full = evolve_operator(op(ee=1), 0.0, 2.0, sched, params)
+        half = evolve_operator(op(ee=1), 0.0, 1.0, sched, params)
         again = evolve_operator(half, 1.0, 2.0, sched, params)
-        for name in ("ee", "eg", "ge", "gg"):
-            assert abs(getattr(full, name) - getattr(again, name)) < 1e-12
+        assert np.max(np.abs(full - again)) < 1e-12
 
     def test_boundary_convention(self):
         # a pulse exactly at the split point acts in the first leg only
         sched = PulseSchedule(events=(PulseEvent(1.0, PulseAxis.X),),
                               window_end=2.0)
-        first = evolve_operator(TwoLevelOperator(ee=1), 0.0, 1.0, sched, self.params)
-        assert first.ee == pytest.approx(1 - math.exp(-2.0), rel=1e-9)  # post-pulse
+        first = evolve_operator(op(ee=1), 0.0, 1.0, sched, self.params)
+        assert first[0, 0] == pytest.approx(1 - math.exp(-2.0), rel=1e-9)  # post-pulse
         second = evolve_operator(first, 1.0, 2.0, sched, self.params)
-        full = evolve_operator(TwoLevelOperator(ee=1), 0.0, 2.0, sched, self.params)
-        assert abs(second.ee - full.ee) < 1e-14
+        full = evolve_operator(op(ee=1), 0.0, 2.0, sched, self.params)
+        assert abs(second[0, 0] - full[0, 0]) < 1e-14
 
     def test_rejects_reversed_interval(self):
         sched = no_drive_schedule(2.0)
         with pytest.raises(ValueError, match="t_from"):
-            evolve_operator(TwoLevelOperator(ee=1), 1.5, 1.0, sched, self.params)
+            evolve_operator(op(ee=1), 1.5, 1.0, sched, self.params)
 
     def test_linearity(self):
         sched = periodic_schedule([PulseAxis.X, PulseAxis.Y], 0.25, 4)
@@ -270,15 +232,10 @@ class TestEvolveOperator:
         rng = np.random.default_rng(3)
         a, b = random_operator(rng), random_operator(rng)
         al, be = 0.7, -1.3 + 0.4j
-        combo = TwoLevelOperator(
-            ee=al * a.ee + be * b.ee, eg=al * a.eg + be * b.eg,
-            ge=al * a.ge + be * b.ge, gg=al * a.gg + be * b.gg)
         ea = evolve_operator(a, 0.0, 1.0, sched, params)
         eb = evolve_operator(b, 0.0, 1.0, sched, params)
-        ec = evolve_operator(combo, 0.0, 1.0, sched, params)
-        for name in ("ee", "eg", "ge", "gg"):
-            want = al * getattr(ea, name) + be * getattr(eb, name)
-            assert abs(getattr(ec, name) - want) < 1e-12
+        ec = evolve_operator(al * a + be * b, 0.0, 1.0, sched, params)
+        assert np.max(np.abs(ec - (al * ea + be * eb))) < 1e-12
 
 
 class TestDensityTrajectory:
@@ -314,13 +271,5 @@ class TestDensityTrajectory:
         params = SimParams(delta=3.0, gamma=2.0, t_end=1.0, dt=1e-3)
         traj = density_trajectory(sched, params)
         for ee, gg in zip(traj.ee[::50], traj.gg[::50]):
-            assert validate_density(TwoLevelOperator(ee=ee, gg=gg), tol=1e-9)
+            assert validate_density(op(ee=ee, gg=gg), tol=1e-9)
             assert -1e-12 <= ee <= 1 + 1e-12
-
-    def test_exact_stepper_agrees_with_rk4(self):
-        params = SimParams(delta=6.0, gamma=2.0, t_end=2.0, dt=1e-3)
-        sched = uhrig_schedule(6, 2.0)
-        t1 = density_trajectory(sched, params, stepper="rk4")
-        t2 = density_trajectory(sched, params, stepper="exact")
-        worst = max(np.max(np.abs(t1.ee - t2.ee)), np.max(np.abs(t1.gg - t2.gg)))
-        assert worst < 1e-10

@@ -1,0 +1,91 @@
+"""Every function in ``src/pulsespec`` is reached from the command line.
+
+Code that only the tests reach belongs in the tests. The probe runs
+``cli.main`` on each protocol, a detuning average, a config file, a plot
+script and a bad flag under ``sys.setprofile``, and lists every function
+and method defined under ``src/pulsespec`` that no call entered.
+"""
+
+import importlib
+import inspect
+import pkgutil
+import sys
+from pathlib import Path
+
+import pulsespec
+from pulsespec import cli
+
+SRC = Path(pulsespec.__file__).resolve().parent
+
+#: public analysis API with no caller on the command-line path yet (the
+#: paper-claim checks are to use it), and the console-script entry point
+NOT_ON_THE_CLI_PATH = {
+    "density_trajectory",
+    "smooth3",
+    "local_maxima",
+    "dominant_peaks",
+    "full_width_half_max",
+    "console_entry",
+}
+
+
+def defined_functions():
+    """Code object -> qualified name of each function defined under SRC."""
+    found = {}
+
+    def add(fn):
+        code = getattr(fn, "__code__", None)
+        if code is not None and Path(code.co_filename).resolve().parent == SRC:
+            found[code] = fn.__qualname__
+
+    for info in pkgutil.iter_modules(pulsespec.__path__, "pulsespec."):
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if inspect.isfunction(obj):
+                add(obj)
+            elif inspect.isclass(obj) and obj.__module__ == module.__name__:
+                for attr in vars(obj).values():
+                    if isinstance(attr, property):
+                        attr = attr.fget
+                    add(getattr(attr, "__func__", attr))
+    return found
+
+
+def run_cli(tmp_path):
+    out = str(tmp_path / "x.csv")
+    grid = ["--dt", "0.01", "-o", out]
+    runs = [
+        ["--protocol", "none", "--t-end", "1"],
+        ["--protocol", "px", "--n-pulses", "4", "--tau", "0.25"],
+        ["--protocol", "pxpy", "--n-pulses", "4", "--tau", "0.25"],
+        ["--protocol", "pz", "--n-pulses", "4", "--tau", "0.25",
+         "--average-deltas=0:0.5,2:0.5"],
+        ["--protocol", "uhrig", "--n-pulses", "5", "--t-end", "1", "--delta", "2",
+         "--plot-script", str(tmp_path / "x.gp")],
+    ]
+    codes = [cli.main(argv + grid) for argv in runs]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("protocol=none\nt_end=1\ndt=0.01\n")
+    codes.append(cli.main(["--config", str(cfg), "-o", out]))
+    codes.append(cli.main(["--protocol", "none", "--colour", "blue", "-o", out]))
+    return codes
+
+
+def test_every_src_function_is_reached_from_the_cli(tmp_path, capsys):
+    functions = defined_functions()
+    reached = set()
+
+    def probe(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(probe)
+    try:
+        codes = run_cli(tmp_path)
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert codes == [0] * 6 + [1]
+    unreached = {name for code, name in functions.items() if code not in reached}
+    assert unreached == NOT_ON_THE_CLI_PATH
