@@ -3,8 +3,9 @@
 Configuration comes from command-line flags, optionally layered on top of a
 plain ``key=value`` file (``#`` comments allowed); flags win. Results go to
 a CSV (one row per frequency) with a ``<output>.meta`` sidecar recording
-every resolved parameter, the kernel and transform methods and the warnings
-raised, and optionally a gnuplot script. ``python -m pulsespec`` and
+every resolved parameter, the kernel and transform methods, the warnings
+raised, the problem sizes and the package and numpy versions, and optionally
+a gnuplot script. ``python -m pulsespec`` and
 ``python -m pulsespec.cli`` run the same front-end.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .core import PulseAxis, PulseSchedule, SimParams, SpectrumResult, default_omega_grid
 from .correlations import accumulate_kernel
 from .sequences import no_drive_schedule, periodic_schedule, uhrig_schedule
@@ -40,7 +42,7 @@ class ConfigError(ValueError):
 class RunConfig:
     protocol: str
     output_path: str
-    delta: float = 0.0
+    delta: float | None = None  # 0 for a single run; not set with average_deltas
     gamma: float = 2.0
     n_pulses: int | None = None
     tau: float | None = None
@@ -82,6 +84,8 @@ class RunConfig:
         if not self.output_path:
             raise ConfigError("output: required")
         if self.average_deltas is not None:
+            if self.delta is not None:
+                raise ConfigError("delta: not applicable with average_deltas")
             if not np.all(np.isfinite(self.average_deltas)):
                 raise ConfigError("average_deltas: values must be finite")
             weights = [w for _, w in self.average_deltas]
@@ -108,7 +112,7 @@ class RunConfig:
         schedule_end = (self.n_pulses * self.tau
                         if self.protocol in _PERIODIC else self.t_end)
         return SimParams(
-            delta=self.delta,
+            delta=0.0 if self.delta is None else self.delta,
             gamma=self.gamma,
             t_end=schedule_end,
             dt=self.dt,
@@ -247,9 +251,10 @@ def _write_csv(path: str, spec: SpectrumResult) -> None:
 
 def _write_metadata(path: str, config: RunConfig, spec: SpectrumResult,
                     sum_rule: tuple[float, float] | None, notes: list[str]) -> None:
+    averaged = config.average_deltas is not None
     lines = [
         f"protocol={config.protocol}",
-        f"delta={config.delta:.17g}",
+        f"delta={'' if averaged else format(spec.params.delta, '.17g')}",
         f"gamma={config.gamma:.17g}",
         f"n_pulses={'' if config.n_pulses is None else config.n_pulses}",
         f"tau={'' if config.tau is None else format(config.tau, '.17g')}",
@@ -268,6 +273,12 @@ def _write_metadata(path: str, config: RunConfig, spec: SpectrumResult,
     lines.append("kernel_method=fft")
     lines.append("transform_method=chirp-z")
     lines.append(f"warnings={' | '.join(notes)}")
+    lines.append(f"n_steps={spec.params.n_steps}")
+    lines.append(f"n_omega={spec.omega.size}")
+    n_deltas = sum(w > 0 for _, w in config.average_deltas) if averaged else 1
+    lines.append(f"n_deltas={n_deltas}")
+    lines.append(f"pulsespec_version={__version__}")
+    lines.append(f"numpy_version={np.__version__}")
     with open(path, "w", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 

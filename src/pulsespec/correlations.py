@@ -19,9 +19,17 @@ K(t, theta) = [M(t+theta) M(t)^-1]_ge,ge, and each t-sum is a
 cross-correlation per coherence column, done with FFTs in O(N log N). The
 decay e^{theta*rate} is an envelope taken out first, so the FFT operands
 have modulus near one and long windows keep full precision.
+
+The kernel is linear in the correlators, so a detuning ensemble is one
+weighted kernel sum_d w_d G_d: each detuning adds its own cross-correlations
+under its own envelope into one accumulator, and a single detuning is the
+one-point mixture. The populations, and with them G(0), do not depend on
+the detuning.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +37,23 @@ from .core import CorrelationKernel, PulseSchedule, SimParams
 from .dynamics import grid_state
 
 
-def accumulate_kernel(schedule: PulseSchedule, params: SimParams) -> CorrelationKernel:
+def fft_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length numpy's FFT handles fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # smallest p35 * 2^a >= n: 2^a >= ceil(n / p35)
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
+                      deltas: np.ndarray | None = None,
+                      weights: np.ndarray | None = None) -> CorrelationKernel:
     """Reduce both correlators to their theta kernels G1, G2.
 
     G[j] = sum_k w_k C(t_k, theta_j) over the rows k = 0..N-j (the
@@ -38,20 +62,42 @@ def accumulate_kernel(schedule: PulseSchedule, params: SimParams) -> Correlation
     two cross-correlations, one per coherence column, computed with
     zero-padded FFTs; G(0) is the direct sum of the weighted populations, so
     it is real. Repeated runs are bit-identical.
+
+    With ``deltas`` and ``weights`` (1-d, of equal nonzero length; the
+    weights nonnegative and summing to one) the result is the weighted
+    kernel sum_d w_d G_d of that detuning mixture, computed one detuning at
+    a time; zero weights cost nothing. Without them it is the kernel at
+    ``params.delta``. Either way the kernel carries ``params``.
     """
     params.check_schedule(schedule)
-    s = grid_state(schedule, params)
+    if deltas is None:
+        deltas, weights = [params.delta], [1.0]
+    deltas = np.asarray(deltas, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if deltas.shape != weights.shape or deltas.ndim != 1 or deltas.size == 0:
+        raise ValueError("deltas and weights must be 1-d arrays of equal length")
+    if np.any(weights < 0):
+        raise ValueError("weights must be nonnegative")
+    if abs(weights.sum() - 1.0) > 1e-12:
+        raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
     n, dt = params.n_steps, params.dt
     w = np.full(n + 1, dt)
     w[0] = w[-1] = 0.5 * dt
-    later = np.stack([s.ge, s.eg.conj()])  # M[ge, c] e^{-k*rate}, c = ge, eg
-    seeds = np.stack([w * s.ee, w * s.gg])  # row weights of C1 and C2
-    # = seeds / conj(later), so conj(earlier[k]) * later[k + j] is
-    # w_k rho(t_k) K(t_k, theta_j) e^{-j*rate} on the column that is nonzero
-    earlier = seeds[:, None] * later / (np.abs(s.ge) + np.abs(s.eg)) ** 2
-    size = 1 << (2 * n).bit_length()  # >= 2n + 1, so nothing wraps around
-    both = np.fft.fft(earlier, size).conj() * np.fft.fft(later, size)
-    g = np.fft.ifft(both.sum(axis=1))[:, :n + 1] * np.exp(s.rate * np.arange(n + 1))
+    size = fft_length(2 * n + 1)  # nothing wraps around
+    steps = np.arange(n + 1)
+    g = np.zeros((2, n + 1), complex)
+    for delta, weight in zip(deltas, weights):
+        if weight == 0:
+            continue
+        s = grid_state(schedule, replace(params, delta=float(delta)))
+        later = np.stack([s.ge, s.eg.conj()])  # M[ge, c] e^{-k*rate}, c = ge, eg
+        seeds = np.stack([w * s.ee, w * s.gg])  # row weights of C1 and C2, any delta
+        # = seeds / conj(later), so conj(earlier[k]) * later[k + j] is
+        # w_k rho(t_k) K(t_k, theta_j) e^{-j*rate} on the column that is nonzero
+        earlier = seeds[:, None] * later / (np.abs(s.ge) + np.abs(s.eg)) ** 2
+        both = np.fft.fft(earlier, size).conj() * np.fft.fft(later, size)
+        g += weight * (np.fft.ifft(both.sum(axis=1))[:, :n + 1]
+                       * np.exp(s.rate * steps))
     g[:, 0] = seeds.sum(axis=1)
     return CorrelationKernel(
         theta_grid=params.time_grid(),

@@ -8,6 +8,9 @@ the trapezoidal sum over the uniform theta grid. The detector grid is
 uniform too, so with omega_k = omega_0 + k*dw and theta_n = n*dtheta the sum
 is a chirp-z transform (Bluestein's algorithm): one linear convolution,
 done with FFTs in O((N + M) log(N + M)) for N theta and M omega points.
+
+The transform is linear, so a detuning average transforms once, on the
+weighted kernel of the whole mixture.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .core import (CorrelationKernel, PulseSchedule, SimParams, SpectrumResult,
                    check_omega_grid)
-from .correlations import accumulate_kernel
+from .correlations import accumulate_kernel, fft_length
 
 
 def spectrum_from_kernel(kernel: CorrelationKernel,
@@ -47,7 +50,7 @@ def spectrum_from_kernel(kernel: CorrelationKernel,
     chirp = np.exp(-0.5j * dw * dtheta * (j * j))  # j*j is an exact integer
     f = np.stack([kernel.g1, kernel.g2]) * (wq * np.exp(-1j * omega[0] * theta)
                                              * chirp[:n])
-    size = 1 << (n + m - 2).bit_length()  # >= n + m - 1: no wrap-around
+    size = fft_length(n + m - 1)  # no wrap-around
     h = np.zeros(size, complex)
     h[:m] = chirp[:m].conj()
     h[size - n + 1:] = chirp[n - 1:0:-1].conj()  # offsets k - n < 0
@@ -96,39 +99,17 @@ def detuning_average(schedule: PulseSchedule, base_params: SimParams,
                      deltas: np.ndarray, weights: np.ndarray) -> SpectrumResult:
     """Weighted ensemble average of spectra over a set of detunings.
 
-    Proxy for inhomogeneous broadening: the full pipeline runs once per
-    detuning and the spectra are averaged elementwise. Weights must be
-    nonnegative and sum to one.
+    Proxy for inhomogeneous broadening. The spectra are linear in the
+    kernel, so the average is one transform of the mixture's weighted
+    kernel (``accumulate_kernel`` with ``deltas`` and ``weights``); it
+    equals the weighted mean of the single-detuning spectra up to rounding.
+    Weights must be nonnegative and sum to one. The result carries
+    ``base_params``, whose own delta plays no part.
     """
-    deltas = np.asarray(deltas, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if deltas.shape != weights.shape or deltas.ndim != 1 or deltas.size == 0:
-        raise ValueError("deltas and weights must be 1-d arrays of equal length")
-    if np.any(weights < 0):
-        raise ValueError("weights must be nonnegative")
-    if abs(weights.sum() - 1.0) > 1e-12:
-        raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
-
-    omega = base_params.omega_grid
-    emission = np.zeros(omega.size)
-    direct = np.zeros(omega.size)
-    digest = ""
-    for d, wt in zip(deltas, weights):
-        kern = accumulate_kernel(schedule, replace(base_params, delta=float(d)))
-        spec = spectrum_from_kernel(kern, omega)
-        emission += wt * spec.emission
-        direct += wt * spec.direct_absorption
-        digest = spec.schedule_digest
-
+    kernel = accumulate_kernel(schedule, base_params, deltas, weights)
+    spec = spectrum_from_kernel(kernel, base_params.omega_grid)
     pairs = ",".join(f"{d:.17g}:{wt:.17g}" for d, wt in zip(deltas, weights))
-    return SpectrumResult(
-        omega=omega,
-        emission=emission,
-        direct_absorption=direct,
-        net_absorption=direct - emission,
-        params=base_params,
-        schedule_digest=f"{digest} avg[{pairs}]",
-    )
+    return replace(spec, schedule_digest=f"{spec.schedule_digest} avg[{pairs}]")
 
 
 def smooth3(values: np.ndarray) -> np.ndarray:

@@ -7,13 +7,18 @@ free step is one generic classical RK4 step of the Lindblad equation, and
 each grid interval is split at its pulses here. Only two tolerances are
 shared: TIME_SNAP, because a pulse that close to a grid point must coincide
 with it in both, and window_tol, so both accept the same window end.
+
+``per_detuning_average`` is the one exception: it checks only how a
+detuning average mixes, so it runs the single-detuning pipeline once per
+detuning and averages the spectra.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from pulsespec import PulseAxis
+from pulsespec import PulseAxis, accumulate_kernel, spectrum_from_kernel
 from pulsespec.core import window_tol
 from pulsespec.dynamics import TIME_SNAP
 
@@ -161,3 +166,19 @@ def row_loop_kernel(schedule, params):
         g1[:c1.size] += w[k] * c1
         g2[:c2.size] += w[k] * c2
     return g1, g2
+
+
+def per_detuning_average(schedule, params, deltas, weights):
+    """Emission and direct absorption of a detuning mixture, one run per detuning.
+
+    Each detuning gets its own kernel and its own transform onto
+    ``params.omega_grid``; the spectra are then averaged with the weights.
+    """
+    emission = np.zeros(params.omega_grid.size)
+    direct = np.zeros(params.omega_grid.size)
+    for delta, weight in zip(deltas, weights):
+        kern = accumulate_kernel(schedule, replace(params, delta=float(delta)))
+        spec = spectrum_from_kernel(kern, params.omega_grid)
+        emission += weight * spec.emission
+        direct += weight * spec.direct_absorption
+    return emission, direct

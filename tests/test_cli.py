@@ -17,7 +17,8 @@ META_KEYS = [
     "protocol", "delta", "gamma", "n_pulses", "tau", "t_end", "dt",
     "omega_min", "omega_max", "omega_step", "observable", "average_deltas",
     "schedule_digest", "sum_rule_lhs", "sum_rule_rhs", "kernel_method",
-    "transform_method", "warnings",
+    "transform_method", "warnings", "n_steps", "n_omega", "n_deltas",
+    "pulsespec_version", "numpy_version",
 ]
 
 
@@ -174,6 +175,11 @@ def test_meta_round_trip_with_warnings(tmp_path, capsys):
     assert meta["schedule_digest"] == config.build_schedule().digest()
     assert meta["kernel_method"] == "fft"
     assert meta["transform_method"] == "chirp-z"
+    assert int(meta["n_steps"]) == params.n_steps == 40
+    assert int(meta["n_omega"]) == params.omega_grid.size
+    assert meta["n_deltas"] == "1"
+    assert meta["pulsespec_version"] == pulsespec.__version__
+    assert meta["numpy_version"] == np.__version__
 
     # dt resolves the shortest Uhrig gap with fewer than 10 steps
     notes = meta["warnings"].split(" | ")
@@ -185,6 +191,35 @@ def test_meta_round_trip_with_warnings(tmp_path, capsys):
     rows = out.read_text().splitlines()
     assert rows[0] == CSV_HEADER
     assert len(rows) == 1 + params.omega_grid.size
+
+
+AVERAGE = ["--protocol", "pz", "--n-pulses", "4", "--tau", "0.25", "--dt", "0.01",
+           "--average-deltas=0:0.5,1:0.5"]
+
+
+def test_meta_of_a_detuning_average(tmp_path, capsys):
+    out = tmp_path / "a.csv"
+    assert main([*AVERAGE[:-1], "--average-deltas=0:0.5,1:0.5,4:0", "-o", str(out)]) == 0
+    meta = read_meta(out)
+    assert list(meta) == [k for k in META_KEYS if not k.startswith("sum_rule")]
+    assert meta["delta"] == ""
+    assert meta["average_deltas"] == "0:0.5,1:0.5,4:0"
+    assert meta["n_deltas"] == "2"  # the zero-weight detuning is not computed
+    assert (meta["n_steps"], meta["n_omega"]) == ("100", "3201")
+
+
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_delta_with_average_deltas_is_a_configuration_error(tmp_path, capsys, where):
+    out = tmp_path / "a.csv"
+    argv = [*AVERAGE, "-o", str(out)]
+    if where == "flag":
+        argv += ["--delta", "7"]
+    else:
+        argv += ["--config", write_config(tmp_path, "delta=7\n")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == \
+        "configuration error: delta: not applicable with average_deltas\n"
+    assert not out.exists() and not (tmp_path / "a.csv.meta").exists()
 
 
 def test_meta_warnings_empty_when_none_fire(tmp_path, capsys):

@@ -17,13 +17,16 @@ from pulsespec import (
     SimParams,
     accumulate_kernel,
     density_trajectory,
+    detuning_average,
     no_drive_schedule,
     periodic_schedule,
     uhrig_schedule,
 )
+from pulsespec.correlations import fft_length
 from pulsespec.dynamics import step_multipliers
 
-from oracles import correlator_row, evolve_operator, op, row_loop_kernel
+from oracles import (correlator_row, evolve_operator, op, per_detuning_average,
+                     row_loop_kernel)
 
 
 def rho_at(traj, k):
@@ -327,6 +330,75 @@ class TestFftKernelOracles:
         kern = accumulate_kernel(uhrig_schedule(6, 2.0),
                                  SimParams(delta=3.0, t_end=2.0, dt=1e-2))
         assert kern.g1[0].real > 0
+
+
+class TestFftLength:
+    def test_is_the_next_5_smooth_number(self):
+        limit = 20000
+        smooth = np.array(sorted(2 ** a * 3 ** b * 5 ** c for a in range(16)
+                                 for b in range(10) for c in range(7)))
+        n = np.arange(1, limit + 1)
+        want = smooth[np.searchsorted(smooth, n)]  # first 5-smooth >= n
+        assert want[-1] <= 2 ** 15  # the list holds every 5-smooth number up to 2^15
+        assert [fft_length(int(k)) for k in n] == want.tolist()
+
+    @pytest.mark.parametrize("n", [22, 37, 40])
+    def test_kernel_without_padding_slack(self, n):
+        # 2n + 1 is 5-smooth, so the cross-correlation has no spare zeros; an
+        # even number of X/Y pulses ends on the ge column, which a wrap-around
+        # at lag n would pair with the start
+        assert fft_length(2 * n + 1) == 2 * n + 1
+        dt = 0.05
+        events = (PulseEvent(3 * dt, PulseAxis.X), PulseEvent(7.4 * dt, PulseAxis.Z),
+                  PulseEvent(7.7 * dt, PulseAxis.Y), PulseEvent((n - 3) * dt, PulseAxis.Z))
+        sched = PulseSchedule(events=events, window_end=n * dt)
+        params = SimParams(delta=2.5, gamma=2.0, t_end=n * dt, dt=dt)
+        kern = accumulate_kernel(sched, params)
+        g1, g2 = row_loop_kernel(sched, params)
+        assert np.max(np.abs(kern.g1 - g1)) < 1e-12
+        assert np.max(np.abs(kern.g2 - g2)) < 1e-12
+
+
+@st.composite
+def mixtures(draw):
+    """A ``coarse_runs`` schedule and a detuning mixture for it.
+
+    Every mixture holds a repeated detuning and a detuning of weight zero,
+    in random places.
+    """
+    sched, params = draw(coarse_runs())
+    deltas = draw(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=4))
+    deltas += [deltas[0], draw(st.floats(-8.0, 8.0))]
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(deltas) - 1,
+                        max_size=len(deltas) - 1))
+    weights = np.array(raw + [0.0]) / sum(raw)
+    order = list(draw(st.permutations(range(len(deltas)))))
+    return sched, params, np.array(deltas)[order], weights[order]
+
+
+class TestDetuningMixture:
+    @settings(max_examples=40, deadline=None)
+    @given(run=mixtures())
+    def test_average_matches_per_detuning_runs(self, run):
+        sched, params, deltas, weights = run
+        avg = detuning_average(sched, params, deltas, weights)
+        for got, want in zip((avg.emission, avg.direct_absorption),
+                             per_detuning_average(sched, params, deltas, weights)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_zero_weights_are_not_computed(self, monkeypatch):
+        seen = []
+
+        def counting(schedule, params):
+            seen.append(params.delta)
+            return dynamics.grid_state(schedule, params)
+
+        monkeypatch.setattr(correlations, "grid_state", counting)
+        sched = uhrig_schedule(4, 1.0)
+        params = SimParams(delta=0.0, t_end=1.0, dt=1e-2)
+        kern = accumulate_kernel(sched, params, [1.0, 2.0, 3.0, 2.0], [0.5, 0.0, 0.5, 0.0])
+        assert seen == [1.0, 3.0]
+        assert kern.params is params
 
 
 class TestRandomScheduleInvariants:

@@ -23,7 +23,11 @@ from pulsespec import (
     spectrum_from_kernel,
     uhrig_schedule,
 )
+from pulsespec import spectra
+from pulsespec.correlations import fft_length
 from pulsespec.spectra import smooth3
+
+from oracles import per_detuning_average
 
 
 def dense_transform(kern, omega):
@@ -153,6 +157,16 @@ class TestSpectrumFromKernel:
         kern = accumulate_kernel(PAPER_SCHEDULES["pxpy"], params)
         assert_matches_dense(kern, omega)
 
+    @pytest.mark.parametrize("n_steps, m", [(50, 31), (40, 35), (44, 36)])
+    def test_matches_dense_sum_without_padding_slack(self, n_steps, m):
+        # N + 1 theta and M omega points with N + M a 5-smooth number: the
+        # convolution length is exactly the FFT length. For (50, 31) the
+        # length 80, one short, is 5-smooth too, and would wrap
+        assert fft_length(n_steps + m) == n_steps + m
+        params = SimParams(delta=3.0, gamma=2.0, t_end=n_steps * 0.05, dt=0.05)
+        kern = accumulate_kernel(uhrig_schedule(5, params.t_end), params)
+        assert_matches_dense(kern, -7.0 + 0.4 * np.arange(m))
+
     @settings(max_examples=60, deadline=None)
     @given(start=st.floats(-200.0, 200.0), step=st.floats(1e-3, 5.0),
            size=st.integers(1, 300))
@@ -260,6 +274,31 @@ class TestDetuningAverage:
         outside = [h for p, h in dominant_peaks(om, avg.emission, 0.0)
                    if abs(p) > 1.0]
         assert central > max(outside)
+
+    @pytest.mark.parametrize("protocol", sorted(PAPER_SCHEDULES))
+    def test_matches_per_detuning_runs_on_paper_protocols(self, protocol):
+        params = SimParams(delta=0.0, gamma=2.0, t_end=2.4, dt=1e-3)
+        deltas = 3.0 + np.linspace(-2.0, 2.0, 9)
+        weights = np.array([1, 2, 3, 4, 5, 4, 3, 2, 1]) / 25
+        avg = detuning_average(PAPER_SCHEDULES[protocol], params, deltas, weights)
+        loop = per_detuning_average(PAPER_SCHEDULES[protocol], params, deltas, weights)
+        for got, want in zip((avg.emission, avg.direct_absorption), loop):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(avg.net_absorption, avg.direct_absorption - avg.emission)
+
+    def test_transforms_once(self, monkeypatch):
+        calls = []
+
+        def counting(kernel, omega_grid):
+            calls.append(kernel)
+            return spectrum_from_kernel(kernel, omega_grid)
+
+        monkeypatch.setattr(spectra, "spectrum_from_kernel", counting)
+        params = SimParams(delta=0.0, t_end=1.2, dt=1e-2)
+        detuning_average(periodic_schedule([PulseAxis.Z], 0.2, 6), params,
+                         np.arange(5.0), np.full(5, 0.2))
+        assert len(calls) == 1
+        assert calls[0].params is params
 
     def test_weight_validation(self):
         sched = no_drive_schedule(1.0)
