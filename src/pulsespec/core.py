@@ -207,7 +207,11 @@ class CorrelationKernel:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Per-frequency emission P, direct absorption P', net absorption Q = P' - P."""
+    """Per-frequency emission P, direct absorption P', net absorption Q = P' - P.
+
+    ``kernel`` is the kernel the spectrum was transformed from, if any; its
+    G1(0) is the right side of the emission sum rule.
+    """
 
     omega: np.ndarray
     emission: np.ndarray
@@ -215,6 +219,7 @@ class SpectrumResult:
     net_absorption: np.ndarray
     params: SimParams
     schedule_digest: str
+    kernel: CorrelationKernel | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.omega)

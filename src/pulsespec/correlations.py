@@ -24,12 +24,11 @@ The kernel is linear in the correlators, so a detuning ensemble is one
 weighted kernel sum_d w_d G_d: each detuning adds its own cross-correlations
 under its own envelope into one accumulator, and a single detuning is the
 one-point mixture. The populations, and with them G(0), do not depend on
-the detuning.
+the detuning; one ``grid_state`` call gives them together with the
+coherence map of every detuning.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -66,8 +65,9 @@ def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
     With ``deltas`` and ``weights`` (1-d, of equal nonzero length; the
     weights nonnegative and summing to one) the result is the weighted
     kernel sum_d w_d G_d of that detuning mixture, computed one detuning at
-    a time; zero weights cost nothing. Without them it is the kernel at
-    ``params.delta``. Either way the kernel carries ``params``.
+    a time from one ``grid_state`` pass; zero weights cost nothing. Without
+    them it is the kernel at ``params.delta``. Either way the kernel carries
+    ``params``.
     """
     params.check_schedule(schedule)
     if deltas is None:
@@ -85,19 +85,18 @@ def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
     w[0] = w[-1] = 0.5 * dt
     size = fft_length(2 * n + 1)  # nothing wraps around
     steps = np.arange(n + 1)
+    used = weights > 0
+    s = grid_state(schedule, params, deltas[used])
+    seeds = np.stack([w * s.ee, w * s.gg])  # row weights of C1 and C2, any delta
     g = np.zeros((2, n + 1), complex)
-    for delta, weight in zip(deltas, weights):
-        if weight == 0:
-            continue
-        s = grid_state(schedule, replace(params, delta=float(delta)))
-        later = np.stack([s.ge, s.eg.conj()])  # M[ge, c] e^{-k*rate}, c = ge, eg
-        seeds = np.stack([w * s.ee, w * s.gg])  # row weights of C1 and C2, any delta
+    for ge, eg, rate, weight in zip(s.ge, s.eg, s.rate, weights[used]):
+        later = np.stack([ge, eg.conj()])  # M[ge, c] e^{-k*rate}, c = ge, eg
         # = seeds / conj(later), so conj(earlier[k]) * later[k + j] is
         # w_k rho(t_k) K(t_k, theta_j) e^{-j*rate} on the column that is nonzero
-        earlier = seeds[:, None] * later / (np.abs(s.ge) + np.abs(s.eg)) ** 2
+        earlier = seeds[:, None] * later / (np.abs(ge) + np.abs(eg)) ** 2
         both = np.fft.fft(earlier, size).conj() * np.fft.fft(later, size)
         g += weight * (np.fft.ifft(both.sum(axis=1))[:, :n + 1]
-                       * np.exp(s.rate * steps))
+                       * np.exp(rate * steps))
     g[:, 0] = seeds.sum(axis=1)
     return CorrelationKernel(
         theta_grid=params.time_grid(),

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -99,58 +100,71 @@ def _advance(state: tuple, t0: float, t1: float, events,
 
 
 class GridState(NamedTuple):
-    """Populations ``ee``, ``gg`` and coherence map M on the grid t_k = k*dt.
+    """Populations ``ee``, ``gg`` and coherence maps M_d on the grid t_k = k*dt.
 
     From the excited start the coherences of rho stay zero. M(t) of [0, t]
     acts on (ge, eg) and is monomial: free steps multiply ge by the phase p
     and eg by conj(p), X and Y pulses swap the pair (Y with a sign), Z
-    negates both. ``ge``, ``eg`` hold M(t_k) e_ge / |p(dt)|^k: one is zero,
-    the other of modulus near one. With rate = log|p(dt)|, the ge row of
-    M(t_k) is e^{k*rate} (ge, conj(eg)).
+    negates both. The populations do not depend on the detuning, M does:
+    ``ge``, ``eg`` and ``rate`` have one row per detuning d. ``ge[d]``,
+    ``eg[d]`` hold M_d(t_k) e_ge / |p_d(dt)|^k: one is zero, the other of
+    modulus near one. With rate[d] = log|p_d(dt)|, the ge row of M_d(t_k)
+    is e^{k*rate[d]} (ge[d], conj(eg[d])).
     """
 
     ee: np.ndarray
     gg: np.ndarray
     ge: np.ndarray
     eg: np.ndarray
-    rate: float
+    rate: np.ndarray
 
 
-def grid_state(schedule: PulseSchedule, params: SimParams) -> GridState:
+def grid_state(schedule: PulseSchedule, params: SimParams,
+               deltas: np.ndarray | None = None) -> GridState:
     """Closed-form GridState, one pulse-free stretch of whole steps at a time.
 
-    Whole steps act as powers of the ``step_multipliers`` factors; a grid
-    interval with pulses goes through ``_advance``. The state carried from
-    one stretch to the next is (ee, gg, ge, eg) at its first grid point,
-    with the coherences scaled as in GridState.
+    One pass over the stretches serves every detuning in ``deltas``
+    (default: ``params.delta`` alone). Whole steps act as powers of the
+    ``step_multipliers`` factors; a grid interval with pulses goes through
+    ``_advance``, once per detuning. The state carried from one stretch to
+    the next is (ee, gg, ge, eg) at its first grid point, with the
+    coherences scaled as in GridState.
     """
     n, dt = params.n_steps, params.dt
+    runs = [replace(params, delta=float(d))
+            for d in ([params.delta] if deltas is None else deltas)]
     grid = params.time_grid()
     # pulse i acts in the interval (t_{m-1}, t_m], m = where[i]; pulses with
     # m = 0 (within TIME_SNAP of t = 0) or m = n + 1 never act
     where = np.searchsorted(grid + TIME_SNAP * dt, schedule.times)
-    decay, phase = step_multipliers(dt, params.delta, params.gamma)
-    log_decay, scale = math.log(decay), abs(phase)
-    turn = np.exp(1j * cmath.phase(phase) * np.arange(n + 1))
+    decay, _ = step_multipliers(dt, 0.0, params.gamma)
+    phases = [step_multipliers(dt, p.delta, params.gamma)[1] for p in runs]
+    log_decay, scales = math.log(decay), [abs(p) for p in phases]
+    turn = np.exp(1j * np.array([cmath.phase(p) for p in phases])[:, None]
+                  * np.arange(n + 1))
     ee, gg = np.empty(n + 1), np.empty(n + 1)
-    ge, eg = np.empty(n + 1, complex), np.empty(n + 1, complex)
-    state, k = (1.0, 0.0, 1.0, 0j), 0  # populations, and the column e_ge
+    ge, eg = np.empty(turn.shape, complex), np.empty(turn.shape, complex)
+    # populations, and the column e_ge of every M_d
+    state, k = (1.0, 0.0, np.ones(len(runs), complex), np.zeros(len(runs), complex)), 0
     for m in [*np.unique(where[(where > 0) & (where <= n)]), n + 1]:
         j = np.arange(m - k)
         ee0, gg0, ge0, eg0 = state
         ee[k:m] = ee0 * np.exp(j * log_decay)
         gg[k:m] = gg0 - ee0 * np.expm1(j * log_decay)
-        ge[k:m] = ge0 * turn[:m - k]
-        eg[k:m] = eg0 * turn[:m - k].conj()
+        ge[:, k:m] = ge0[:, None] * turn[:, :m - k]
+        eg[:, k:m] = eg0[:, None] * turn[:, :m - k].conj()
         if m > n:
             break
         inside = schedule.events[np.searchsorted(where, m):
                                  np.searchsorted(where, m, side="right")]
-        ee1, gg1, ge1, eg1 = _advance((ee[m - 1], gg[m - 1], ge[m - 1], eg[m - 1]),
-                                      grid[m - 1], grid[m], inside, params)
-        state = ee1, gg1, ge1 / scale, eg1 / scale
+        after = [_advance((ee[m - 1], gg[m - 1], ge[d, m - 1], eg[d, m - 1]),
+                          grid[m - 1], grid[m], inside, p)
+                 for d, p in enumerate(runs)]
+        state = (*after[0][:2],
+                 np.array([a[2] / s for a, s in zip(after, scales)]),
+                 np.array([a[3] / s for a, s in zip(after, scales)]))
         k = m
-    return GridState(ee, gg, ge, eg, math.log(scale))
+    return GridState(ee, gg, ge, eg, np.array([math.log(s) for s in scales]))
 
 
 class Trajectory(NamedTuple):

@@ -64,6 +64,7 @@ def spectrum_from_kernel(kernel: CorrelationKernel,
         net_absorption=direct - emission,
         params=kernel.params,
         schedule_digest=kernel.schedule_digest,
+        kernel=kernel,
     )
 
 

@@ -8,10 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pulsespec
-from pulsespec import SimParams, SpectrumResult, cli
+from pulsespec import SimParams, SpectrumResult, cli, spectra
 from pulsespec.cli import CSV_HEADER, main, parse_config
+from pulsespec.correlations import accumulate_kernel
+from pulsespec.spectra import emission_sum_rule, spectrum_from_kernel
 
 META_KEYS = [
     "protocol", "delta", "gamma", "n_pulses", "tau", "t_end", "dt",
@@ -140,6 +144,66 @@ def test_csv_text_is_the_per_value_format(tmp_path):
     assert path.read_bytes() == (CSV_HEADER + "\n" + rows).encode()
 
 
+def percent_text(table):
+    """The reference text: ``"%.11e" % x`` per value, rows joined by newlines."""
+    return "\n".join(",".join("%.11e" % x for x in row) for row in table.tolist()).encode()
+
+
+def assert_formats_like_percent(values, width=4):
+    values = np.asarray(values, dtype=float).ravel()
+    table = values[:values.size // width * width].reshape(-1, width)
+    if table.size:
+        assert cli._format_e11(table) == percent_text(table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=64), st.integers(1, 4))
+def test_format_of_any_float(values, width):
+    assert_formats_like_percent(values, width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=4, max_size=64))
+def test_format_of_any_bit_pattern(bits):
+    assert_formats_like_percent(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def both_sides(values):
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.concatenate([np.nextafter(values, -np.inf), values,
+                               np.nextafter(values, np.inf)])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_format_of_crafted_values(sign):
+    rng = np.random.default_rng(8)
+    mantissas = rng.integers(10**11, 10**12, 400)
+    exponents = rng.integers(-23, 24, 400) - 11.0
+    values = [
+        # near-ties: the 13th significant digit is a 5
+        (mantissas + 0.5) * 10.0 ** exponents,
+        # both sides of every power of ten the fast path can meet, and past it
+        10.0 ** np.arange(-12, 35),
+        # m in [1e12 - 0.5, 1e12): the mantissa rounds up to the next decade
+        (1e12 - 0.5 + rng.uniform(0, 0.5, 200)) * 10.0 ** exponents[:200],
+        # |k| = 22 and 23, where 10^|k| stops being exact
+        rng.uniform(1, 10, 200) * 10.0 ** np.repeat([-11, -12, 33, 34], 50),
+        # zeros, subnormals and the edges of the normal range
+        [0.0, 5e-324, 2.2e-310, 2.2250738585072014e-308, 1.7976931348623157e308],
+    ]
+    assert_formats_like_percent(sign * both_sides(np.concatenate(values)))
+    assert_formats_like_percent([0.0, -0.0, -5e-324, np.inf, -np.inf, np.nan, 1.0, -1.0])
+
+
+def test_format_of_spectrum_like_tables():
+    # spectra span many decades, with ω = 0 among the frequencies
+    rng = np.random.default_rng(9)
+    omega = np.arange(-1600, 1601) * 0.025
+    peaks = rng.lognormal(0, 3, (3, omega.size)) * rng.choice([-1, 1], (3, omega.size))
+    assert_formats_like_percent(np.column_stack([omega, *peaks]))
+
+
 @pytest.mark.parametrize("name, reason", [
     ("nope.cfg", os.strerror(errno.ENOENT)),
     ("cfg_dir", os.strerror(errno.EISDIR)),
@@ -201,11 +265,37 @@ def test_meta_of_a_detuning_average(tmp_path, capsys):
     out = tmp_path / "a.csv"
     assert main([*AVERAGE[:-1], "--average-deltas=0:0.5,1:0.5,4:0", "-o", str(out)]) == 0
     meta = read_meta(out)
-    assert list(meta) == [k for k in META_KEYS if not k.startswith("sum_rule")]
+    assert list(meta) == META_KEYS
     assert meta["delta"] == ""
     assert meta["average_deltas"] == "0:0.5,1:0.5,4:0"
     assert meta["n_deltas"] == "2"  # the zero-weight detuning is not computed
     assert (meta["n_steps"], meta["n_omega"]) == ("100", "3201")
+
+    # the sum rule of the mixture: its averaged spectrum against its G1(0)
+    config = parse_config([*AVERAGE, "-o", str(out)])
+    params = config.build_params()
+    kern = accumulate_kernel(config.build_schedule(), params, [0.0, 1.0], [0.5, 0.5])
+    spec = spectrum_from_kernel(kern, params.omega_grid)
+    lhs, rhs = float(meta["sum_rule_lhs"]), float(meta["sum_rule_rhs"])
+    assert (lhs, rhs) == emission_sum_rule(spec, kern)
+    note = f"emission sum rule off by {abs(lhs / rhs - 1):.1%}"
+    assert abs(lhs / rhs - 1) > 0.10
+    assert note in meta["warnings"] and f"warning: {note}" in capsys.readouterr().err
+
+
+def test_detuning_average_builds_one_kernel(tmp_path, monkeypatch):
+    kernels = []
+
+    def counting(*args):
+        kernels.append(accumulate_kernel(*args))
+        return kernels[-1]
+
+    monkeypatch.setattr(spectra, "accumulate_kernel", counting)
+    monkeypatch.setattr(cli, "accumulate_kernel", counting)
+    out = tmp_path / "a.csv"
+    assert main([*AVERAGE, "-o", str(out)]) == 0
+    assert len(kernels) == 1
+    assert float(read_meta(out)["sum_rule_rhs"]) == kernels[0].g1[0].real
 
 
 @pytest.mark.parametrize("where", ["flag", "file"])

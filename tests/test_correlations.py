@@ -1,6 +1,7 @@
 """Regression rows and the triangle reduction to theta kernels."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -389,16 +390,42 @@ class TestDetuningMixture:
     def test_zero_weights_are_not_computed(self, monkeypatch):
         seen = []
 
-        def counting(schedule, params):
-            seen.append(params.delta)
-            return dynamics.grid_state(schedule, params)
+        def counting(schedule, params, deltas):
+            seen.append(list(deltas))
+            return dynamics.grid_state(schedule, params, deltas)
 
         monkeypatch.setattr(correlations, "grid_state", counting)
         sched = uhrig_schedule(4, 1.0)
         params = SimParams(delta=0.0, t_end=1.0, dt=1e-2)
         kern = accumulate_kernel(sched, params, [1.0, 2.0, 3.0, 2.0], [0.5, 0.0, 0.5, 0.0])
-        assert seen == [1.0, 3.0]
+        assert seen == [[1.0, 3.0]]
         assert kern.params is params
+
+    @pytest.mark.parametrize("n_deltas", [1, 2, 9])
+    def test_grid_state_runs_once_per_kernel(self, monkeypatch, n_deltas):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return dynamics.grid_state(*args)
+
+        monkeypatch.setattr(correlations, "grid_state", counting)
+        sched = uhrig_schedule(4, 1.0)
+        params = SimParams(delta=0.5, t_end=1.0, dt=1e-2)
+        deltas = np.linspace(-2.0, 2.0, n_deltas)
+        accumulate_kernel(sched, params, deltas, np.full(n_deltas, 1.0 / n_deltas))
+        assert len(calls) == 1
+
+    @settings(max_examples=20, deadline=None)
+    @given(run=mixtures())
+    def test_grid_state_rows_are_the_single_detuning_states(self, run):
+        sched, params, deltas, _ = run
+        many = dynamics.grid_state(sched, params, deltas)
+        for d, delta in enumerate(deltas):
+            one = dynamics.grid_state(sched, replace(params, delta=float(delta)))
+            assert np.array_equal(many.ee, one.ee) and np.array_equal(many.gg, one.gg)
+            for got, want in zip(many[2:], one[2:]):
+                assert np.array_equal(got[d], want[0])  # bit for bit
 
 
 class TestRandomScheduleInvariants:
