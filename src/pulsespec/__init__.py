@@ -2,13 +2,15 @@
 
 The pipeline: build a pulse schedule, evolve the density matrix over the
 observation window, reduce the two-time correlators to theta kernels via
-the regression recipe, and Fourier-transform onto a detector grid.
+the regression recipe, and Fourier-transform onto a detector grid, which
+only the transform takes.
 
 >>> from pulsespec import *
 >>> sched = periodic_schedule([PulseAxis.Z], tau=0.2, n_pulses=12)
 >>> params = SimParams(delta=3.0, t_end=2.4)
 >>> spec = spectrum_from_kernel(accumulate_kernel(sched, params),
-...                             params.omega_grid)
+...                             default_omega_grid())
+>>> lhs, rhs = emission_sum_rule(spec)
 """
 
 from .core import (

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .core import PulseAxis, PulseSchedule, SimParams, SpectrumResult, default_omega_grid
+from .core import (PulseAxis, PulseSchedule, SimParams, SpectrumResult, check_mixture,
+                   default_omega_grid)
 from .correlations import accumulate_kernel
 from .sequences import no_drive_schedule, periodic_schedule, uhrig_schedule
 from .spectra import detuning_average, emission_sum_rule, spectrum_from_kernel
@@ -91,19 +92,16 @@ class RunConfig:
         if self.average_deltas is not None:
             if self.delta is not None:
                 raise ConfigError("delta: not applicable with average_deltas")
-            if not np.all(np.isfinite(self.average_deltas)):
-                raise ConfigError("average_deltas: values must be finite")
-            weights = [w for _, w in self.average_deltas]
-            if any(w < 0 for w in weights):
-                raise ConfigError("average_deltas: weights must be nonnegative")
-            if abs(sum(weights) - 1.0) > 1e-12:
-                raise ConfigError(
-                    f"average_deltas: weights must sum to 1, got {sum(weights)}"
-                )
+            try:
+                check_mixture([d for d, _ in self.average_deltas],
+                              [w for _, w in self.average_deltas])
+            except ValueError as exc:
+                raise ConfigError(f"average_deltas: {exc}") from None
         try:
             self.build_schedule()
             self.build_params()
-        except ValueError as exc:
+            self.build_omega_grid()
+        except (ValueError, ArithmeticError) as exc:
             raise ConfigError(str(exc)) from None
 
     def build_schedule(self) -> PulseSchedule:
@@ -121,9 +119,10 @@ class RunConfig:
             gamma=self.gamma,
             t_end=schedule_end,
             dt=self.dt,
-            omega_grid=default_omega_grid(self.omega_min, self.omega_max,
-                                          self.omega_step),
         )
+
+    def build_omega_grid(self) -> np.ndarray:
+        return default_omega_grid(self.omega_min, self.omega_max, self.omega_step)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -403,19 +402,18 @@ def run(config: RunConfig) -> SpectrumResult:
     _check_writable(outputs)
     schedule = config.build_schedule()
     params = config.build_params()
+    omega = config.build_omega_grid()
 
     sum_rule = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if config.average_deltas is not None:
-            deltas = np.array([d for d, _ in config.average_deltas])
-            weights = np.array([w for _, w in config.average_deltas])
-            spec = detuning_average(schedule, params, deltas, weights)
+            deltas, weights = np.transpose(config.average_deltas)
+            spec = detuning_average(schedule, params, deltas, weights, omega)
         else:
-            spec = spectrum_from_kernel(accumulate_kernel(schedule, params),
-                                        params.omega_grid)
+            spec = spectrum_from_kernel(accumulate_kernel(schedule, params), omega)
         try:
-            sum_rule = emission_sum_rule(spec, spec.kernel)
+            sum_rule = emission_sum_rule(spec)
         except ValueError:
             pass  # grid outside the sum rule's validity
     notes = [str(w.message) for w in caught]
@@ -438,17 +436,13 @@ def run(config: RunConfig) -> SpectrumResult:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        config = parse_config(sys.argv[1:] if argv is None else argv)
+        run(parse_config(sys.argv[1:] if argv is None else argv))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    try:
-        run(config)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, ArithmeticError, MemoryError) as exc:
+        # a bare MemoryError has no message
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 2
     return 0
 

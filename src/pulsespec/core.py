@@ -1,9 +1,10 @@
 """Domain types of a pulse-driven two-level emitter.
 
-Pulse schedules, the run parameters and detector grid, and the two results
-the pipeline hands between stages: the theta kernels of the correlators and
-the spectra. Each validates its invariants when it is built, and its arrays
-are read-only copies of what the caller passed.
+Pulse schedules, the run parameters, and the two results the pipeline hands
+between stages: the theta kernels of the correlators and the spectra. Each
+validates its invariants when it is built, and its arrays are read-only
+copies of what the caller passed. The detector grid and a detuning mixture
+are plain arrays, checked by ``check_omega_grid`` and ``check_mixture``.
 """
 
 from __future__ import annotations
@@ -107,6 +108,26 @@ def check_omega_grid(values) -> np.ndarray:
     return grid
 
 
+def check_mixture(deltas, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a detuning mixture and return it as two new float arrays.
+
+    A mixture is two nonempty 1-d arrays of equal length with all values
+    finite, the weights nonnegative and summing to one within 1e-12.
+    """
+    deltas = np.array(deltas, dtype=float)
+    weights = np.array(weights, dtype=float)
+    if deltas.ndim != 1 or deltas.size == 0 or deltas.shape != weights.shape:
+        raise ValueError("deltas and weights must be nonempty 1-d arrays of equal length")
+    if not (np.all(np.isfinite(deltas)) and np.all(np.isfinite(weights))):
+        raise ValueError("values must be finite")
+    if np.any(weights < 0):
+        raise ValueError("weights must be nonnegative")
+    total = float(weights.sum())
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"weights must sum to 1, got {total}")
+    return deltas, weights
+
+
 @dataclass(frozen=True)
 class SimParams:
     """Physical and numerical parameters of one simulation run, all finite.
@@ -115,14 +136,15 @@ class SimParams:
     gamma      spontaneous emission rate (> 0); the natural unit choice is 2
     t_end      observation window T (> 0); must match the schedule window
     dt         integration step; t_end must be an integer number of steps
-    omega_grid detector frequencies, uniform and strictly increasing
+
+    Equal parameters compare and hash equal. The detector grid is an input
+    of the transform, not a run parameter.
     """
 
     delta: float
     gamma: float = 2.0
     t_end: float = 2.0
     dt: float = 1e-3
-    omega_grid: np.ndarray = field(default_factory=lambda: default_omega_grid())
 
     def __post_init__(self):
         if not math.isfinite(self.delta):
@@ -135,9 +157,6 @@ class SimParams:
             raise ValueError(
                 f"t_end={self.t_end} is not an integer multiple of dt={self.dt}"
             )
-        grid = check_omega_grid(self.omega_grid)
-        grid.flags.writeable = False
-        object.__setattr__(self, "omega_grid", grid)
 
     @property
     def n_steps(self) -> int:
@@ -170,13 +189,13 @@ class SimParams:
 
 def default_omega_grid(omega_min: float = -40.0, omega_max: float = 40.0,
                        step: float = 0.025) -> np.ndarray:
-    """Detector-frequency grid covering every lineshape in the studied protocols."""
+    """Uniform detector grid; the default covers every lineshape studied."""
     if not (0 < step < math.inf and -math.inf < omega_min < omega_max < math.inf):
         raise ValueError("need finite omega_max > omega_min and step > 0")
     n = round((omega_max - omega_min) / step)
     if abs(omega_min + n * step - omega_max) > 1e-9 * max(1.0, abs(omega_max)):
         raise ValueError("omega range is not an integer number of steps")
-    return omega_min + np.arange(n + 1) * step
+    return check_omega_grid(omega_min + np.arange(n + 1) * step)
 
 
 @dataclass(frozen=True)
@@ -186,23 +205,29 @@ class CorrelationKernel:
     g1[j] = integral over t in [0, T - theta_j] of <sigma_+(t+theta_j) sigma_-(t)>
     g2[j] = same for <sigma_-(t) sigma_+(t+theta_j)>
 
-    theta_grid is the uniform grid [0, T] with step dt. The producing run's
-    parameters and schedule digest ride along so a spectrum can be labelled.
+    with theta_j = j*dt the run's time grid (``theta_grid``, from ``params``),
+    so g1 and g2 hold n_steps + 1 values. The producing run's parameters and
+    schedule digest ride along so a spectrum can be labelled.
     """
 
-    theta_grid: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
     params: SimParams
     schedule_digest: str
 
     def __post_init__(self):
-        if len(self.g1) != len(self.theta_grid) or len(self.g2) != len(self.theta_grid):
-            raise ValueError("kernel arrays must match the theta grid length")
-        for name in ("theta_grid", "g1", "g2"):
+        n = self.params.n_steps + 1
+        for name in ("g1", "g2"):
             arr = np.array(getattr(self, name))
+            if arr.shape != (n,):
+                raise ValueError(f"kernel arrays must hold n_steps + 1 = {n} values")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @property
+    def theta_grid(self) -> np.ndarray:
+        """The lags theta_j = j*dt of g1 and g2."""
+        return self.params.time_grid()
 
 
 @dataclass(frozen=True)

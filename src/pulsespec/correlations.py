@@ -25,14 +25,15 @@ weighted kernel sum_d w_d G_d: each detuning adds its own cross-correlations
 under its own envelope into one accumulator, and a single detuning is the
 one-point mixture. The populations, and with them G(0), do not depend on
 the detuning; one ``grid_state`` call gives them together with the
-coherence map of every detuning.
+coherence map of every detuning. The kernel sits on the run's own lags
+theta_j = j*dt and stores no grid; the detector grid is the transform's.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import CorrelationKernel, PulseSchedule, SimParams
+from .core import CorrelationKernel, PulseSchedule, SimParams, check_mixture
 from .dynamics import grid_state
 
 
@@ -62,24 +63,16 @@ def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
     zero-padded FFTs; G(0) is the direct sum of the weighted populations, so
     it is real. Repeated runs are bit-identical.
 
-    With ``deltas`` and ``weights`` (1-d, of equal nonzero length; the
-    weights nonnegative and summing to one) the result is the weighted
-    kernel sum_d w_d G_d of that detuning mixture, computed one detuning at
-    a time from one ``grid_state`` pass; zero weights cost nothing. Without
-    them it is the kernel at ``params.delta``. Either way the kernel carries
-    ``params``.
+    With ``deltas`` and ``weights`` (a mixture as ``core.check_mixture``
+    accepts it) the result is the weighted kernel sum_d w_d G_d of that
+    detuning mixture, computed one detuning at a time from one
+    ``grid_state`` pass; zero weights cost nothing. Without them it is the
+    kernel at ``params.delta``. Either way the kernel carries ``params``.
     """
     params.check_schedule(schedule)
     if deltas is None:
         deltas, weights = [params.delta], [1.0]
-    deltas = np.asarray(deltas, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if deltas.shape != weights.shape or deltas.ndim != 1 or deltas.size == 0:
-        raise ValueError("deltas and weights must be 1-d arrays of equal length")
-    if np.any(weights < 0):
-        raise ValueError("weights must be nonnegative")
-    if abs(weights.sum() - 1.0) > 1e-12:
-        raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
+    deltas, weights = check_mixture(deltas, weights)
     n, dt = params.n_steps, params.dt
     w = np.full(n + 1, dt)
     w[0] = w[-1] = 0.5 * dt
@@ -98,10 +91,5 @@ def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
         g += weight * (np.fft.ifft(both.sum(axis=1))[:, :n + 1]
                        * np.exp(rate * steps))
     g[:, 0] = seeds.sum(axis=1)
-    return CorrelationKernel(
-        theta_grid=params.time_grid(),
-        g1=g[0],
-        g2=g[1],
-        params=params,
-        schedule_digest=schedule.digest(),
-    )
+    return CorrelationKernel(g1=g[0], g2=g[1], params=params,
+                             schedule_digest=schedule.digest())

@@ -24,9 +24,7 @@ a pulse is the post-pulse one.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -61,7 +59,7 @@ def step_multipliers(h: float, delta: float, gamma: float) -> tuple[float, compl
     classical RK4 step is elementwise multiplication:
     ee *= decay, gg += (1 - decay)*ee_old, ge *= phase, eg *= conj(phase),
     with the factors the degree-4 Taylor polynomials of e^{-gamma h} and
-    e^{(i delta - gamma/2) h}.
+    e^{(i delta - gamma/2) h}; an array of detunings gives an array of phases.
     """
     z = -gamma * h
     decay = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
@@ -70,32 +68,33 @@ def step_multipliers(h: float, delta: float, gamma: float) -> tuple[float, compl
     return decay, phase
 
 
-def _free_step(state: tuple, h: float, params: SimParams) -> tuple:
-    """One pulse-free step of length h: the ``step_multipliers`` update."""
+def _free_step(state: tuple, h: float, deltas, gamma: float) -> tuple:
+    """One pulse-free step of length h at one detuning or an array of them."""
     ee, gg, ge, eg = state
-    decay, phase = step_multipliers(h, params.delta, params.gamma)
+    decay, phase = step_multipliers(h, deltas, gamma)
     return ee * decay, gg + (1.0 - decay) * ee, ge * phase, eg * phase.conjugate()
 
 
-def _advance(state: tuple, t0: float, t1: float, events,
-             params: SimParams) -> tuple:
+def _advance(state: tuple, t0: float, t1: float, events, dt: float,
+             deltas, gamma: float) -> tuple:
     """Evolve the state over the grid interval [t0, t1] and the pulses inside it.
 
     Each pulse in ``events`` that falls in the interval splits it, so the
     pulse acts at its exact time. Pulses at exactly t0 are excluded, pulses
-    at exactly t1 included; times within TIME_SNAP*dt coincide.
+    at exactly t1 included; times within TIME_SNAP*dt coincide. One call
+    serves every detuning in ``deltas``, as ``_free_step``.
     """
-    snap = TIME_SNAP * params.dt
+    snap = TIME_SNAP * dt
     cur = t0
     for ev in events:
         if ev.time <= t0 + snap or ev.time > t1 + snap:
             continue
         if ev.time - cur > snap:
-            state = _free_step(state, ev.time - cur, params)
+            state = _free_step(state, ev.time - cur, deltas, gamma)
         state = apply_pulse(state, ev.axis)
         cur = ev.time
     if t1 - cur > snap:
-        state = _free_step(state, t1 - cur, params)
+        state = _free_step(state, t1 - cur, deltas, gamma)
     return state
 
 
@@ -126,26 +125,23 @@ def grid_state(schedule: PulseSchedule, params: SimParams,
     One pass over the stretches serves every detuning in ``deltas``
     (default: ``params.delta`` alone). Whole steps act as powers of the
     ``step_multipliers`` factors; a grid interval with pulses goes through
-    ``_advance``, once per detuning. The state carried from one stretch to
-    the next is (ee, gg, ge, eg) at its first grid point, with the
-    coherences scaled as in GridState.
+    one ``_advance`` call for all detunings at once. The state carried from
+    one stretch to the next is (ee, gg, ge, eg) at its first grid point,
+    with ``ge`` and ``eg`` arrays over the detunings, scaled as in GridState.
     """
-    n, dt = params.n_steps, params.dt
-    runs = [replace(params, delta=float(d))
-            for d in ([params.delta] if deltas is None else deltas)]
+    n, dt, gamma = params.n_steps, params.dt, params.gamma
+    deltas = np.array([params.delta] if deltas is None else deltas, dtype=float)
     grid = params.time_grid()
     # pulse i acts in the interval (t_{m-1}, t_m], m = where[i]; pulses with
     # m = 0 (within TIME_SNAP of t = 0) or m = n + 1 never act
     where = np.searchsorted(grid + TIME_SNAP * dt, schedule.times)
-    decay, _ = step_multipliers(dt, 0.0, params.gamma)
-    phases = [step_multipliers(dt, p.delta, params.gamma)[1] for p in runs]
-    log_decay, scales = math.log(decay), [abs(p) for p in phases]
-    turn = np.exp(1j * np.array([cmath.phase(p) for p in phases])[:, None]
-                  * np.arange(n + 1))
+    decay, phases = step_multipliers(dt, deltas, gamma)
+    log_decay, scales = math.log(decay), np.abs(phases)
+    turn = np.exp(1j * np.angle(phases)[:, None] * np.arange(n + 1))
     ee, gg = np.empty(n + 1), np.empty(n + 1)
     ge, eg = np.empty(turn.shape, complex), np.empty(turn.shape, complex)
     # populations, and the column e_ge of every M_d
-    state, k = (1.0, 0.0, np.ones(len(runs), complex), np.zeros(len(runs), complex)), 0
+    state, k = (1.0, 0.0, np.ones(deltas.size, complex), np.zeros(deltas.size, complex)), 0
     for m in [*np.unique(where[(where > 0) & (where <= n)]), n + 1]:
         j = np.arange(m - k)
         ee0, gg0, ge0, eg0 = state
@@ -157,14 +153,10 @@ def grid_state(schedule: PulseSchedule, params: SimParams,
             break
         inside = schedule.events[np.searchsorted(where, m):
                                  np.searchsorted(where, m, side="right")]
-        after = [_advance((ee[m - 1], gg[m - 1], ge[d, m - 1], eg[d, m - 1]),
-                          grid[m - 1], grid[m], inside, p)
-                 for d, p in enumerate(runs)]
-        state = (*after[0][:2],
-                 np.array([a[2] / s for a, s in zip(after, scales)]),
-                 np.array([a[3] / s for a, s in zip(after, scales)]))
-        k = m
-    return GridState(ee, gg, ge, eg, np.array([math.log(s) for s in scales]))
+        ee1, gg1, ge1, eg1 = _advance((ee[m - 1], gg[m - 1], ge[:, m - 1], eg[:, m - 1]),
+                                      grid[m - 1], grid[m], inside, dt, deltas, gamma)
+        state, k = (ee1, gg1, ge1 / scales, eg1 / scales), m
+    return GridState(ee, gg, ge, eg, np.log(scales))
 
 
 class Trajectory(NamedTuple):

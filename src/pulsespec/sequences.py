@@ -31,25 +31,20 @@ def periodic_schedule(axis_pattern: list[PulseAxis], tau: float,
     return PulseSchedule(events=events, window_end=n_pulses * tau)
 
 
-def uhrig_schedule(n_pulses: int, t_end: float,
-                   include_final: bool = False) -> PulseSchedule:
+def uhrig_schedule(n_pulses: int, t_end: float) -> PulseSchedule:
     """Nonequidistant X pulses at T_j = t_end * sin^2(j*pi / (2*(n_pulses+1))).
 
-    Pulses cluster near both ends of the window. ``include_final`` appends the
-    cycle-closing pulse at exactly t_end; it acts after all correlator
-    evolution ends, so it cannot change any spectrum, and defaults to off.
+    Pulses cluster near both ends of the window, j = 1..n_pulses.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
     if not 0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
-    times = [
-        t_end * math.sin(j * math.pi / (2 * (n_pulses + 1))) ** 2
+    events = tuple(
+        PulseEvent(time=t_end * math.sin(j * math.pi / (2 * (n_pulses + 1))) ** 2,
+                   axis=PulseAxis.X)
         for j in range(1, n_pulses + 1)
-    ]
-    if include_final:
-        times.append(t_end)
-    events = tuple(PulseEvent(time=t, axis=PulseAxis.X) for t in times)
+    )
     return PulseSchedule(events=events, window_end=t_end)
 
 

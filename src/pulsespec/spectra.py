@@ -29,20 +29,17 @@ def spectrum_from_kernel(kernel: CorrelationKernel,
                          omega_grid: np.ndarray) -> SpectrumResult:
     """Fourier-transform the kernels onto a uniform detector frequency grid.
 
-    Trapezoidal weights in theta. With k*n = (k^2 + n^2 - (k-n)^2)/2 and
-    c_j = e^{-i dw dtheta j^2/2}, the sum over n of f_n e^{-i omega_k theta_n}
-    is c_k times the convolution of f_n e^{-i omega_0 theta_n} c_n with
-    conj(c_j); G1 and G2 share the FFT of the chirp. Net absorption is the
-    exact elementwise difference of the other two columns.
+    ``omega_grid`` is checked by ``check_omega_grid``; the kernel's lags
+    theta_n = n*dt are uniform by construction. Trapezoidal weights in
+    theta. With k*n = (k^2 + n^2 - (k-n)^2)/2 and c_j = e^{-i dw dtheta j^2/2},
+    the sum over n of f_n e^{-i omega_k theta_n} is c_k times the convolution
+    of f_n e^{-i omega_0 theta_n} c_n with conj(c_j); G1 and G2 share the FFT
+    of the chirp. Net absorption is the exact elementwise difference of the
+    other two columns.
     """
     omega = check_omega_grid(omega_grid)
     theta = kernel.theta_grid
-    # every spacing equal to theta[1] also puts theta[0] at 0
-    if len(theta) < 2 or not np.allclose(np.diff(theta), theta[1], rtol=1e-9, atol=0):
-        raise ValueError("kernel theta grid must be uniform from 0, two points or more")
-
-    n, m = len(theta), omega.size
-    dtheta = theta[1]
+    n, m, dtheta = theta.size, omega.size, kernel.params.dt
     dw = (omega[-1] - omega[0]) / max(m - 1, 1)
     wq = np.full(n, dtheta)
     wq[0] = wq[-1] = 0.5 * dtheta
@@ -68,14 +65,16 @@ def spectrum_from_kernel(kernel: CorrelationKernel,
     )
 
 
-def emission_sum_rule(result: SpectrumResult,
-                      kernel: CorrelationKernel) -> tuple[float, float]:
+def emission_sum_rule(result: SpectrumResult) -> tuple[float, float]:
     """Parseval check: int P(omega) d omega / (2 pi) against G1(0).
 
-    G1(0) is the time-integrated excited population, so the two agree up to
-    quadrature error and spectral weight outside the frequency grid. Warns
-    when the emission has not decayed at the grid edges.
+    G1(0) of ``result.kernel`` is the time-integrated excited population,
+    so the two agree up to quadrature error and spectral weight outside the
+    frequency grid. Warns when the emission has not decayed at the grid
+    edges. A result without a kernel is a ValueError.
     """
+    if result.kernel is None:
+        raise ValueError("sum rule needs the kernel the spectrum came from")
     omega = result.omega
     if (omega[0] > -40.0 or omega[-1] < 40.0
             or np.max(np.diff(omega)) > 0.05 * (1 + 1e-9)):
@@ -85,7 +84,7 @@ def emission_sum_rule(result: SpectrumResult,
         )
     p = result.emission
     lhs = float(np.sum((p[1:] + p[:-1]) * np.diff(omega)) / 2.0 / (2.0 * np.pi))
-    rhs = float(kernel.g1[0].real)
+    rhs = float(result.kernel.g1[0].real)
     edge = max(abs(p[0]), abs(p[-1]))
     if edge > 1e-3 * np.max(p, initial=0.0):
         warnings.warn(
@@ -97,18 +96,19 @@ def emission_sum_rule(result: SpectrumResult,
 
 
 def detuning_average(schedule: PulseSchedule, base_params: SimParams,
-                     deltas: np.ndarray, weights: np.ndarray) -> SpectrumResult:
+                     deltas: np.ndarray, weights: np.ndarray,
+                     omega_grid: np.ndarray) -> SpectrumResult:
     """Weighted ensemble average of spectra over a set of detunings.
 
     Proxy for inhomogeneous broadening. The spectra are linear in the
-    kernel, so the average is one transform of the mixture's weighted
-    kernel (``accumulate_kernel`` with ``deltas`` and ``weights``); it
-    equals the weighted mean of the single-detuning spectra up to rounding.
-    Weights must be nonnegative and sum to one. The result carries
-    ``base_params``, whose own delta plays no part.
+    kernel, so the average is one transform onto ``omega_grid`` of the
+    mixture's weighted kernel (``accumulate_kernel`` with ``deltas`` and
+    ``weights``); it equals the weighted mean of the single-detuning
+    spectra up to rounding. The mixture is checked by ``check_mixture``.
+    The result carries ``base_params``, whose own delta plays no part.
     """
     kernel = accumulate_kernel(schedule, base_params, deltas, weights)
-    spec = spectrum_from_kernel(kernel, base_params.omega_grid)
+    spec = spectrum_from_kernel(kernel, omega_grid)
     pairs = ",".join(f"{d:.17g}:{wt:.17g}" for d, wt in zip(deltas, weights))
     return replace(spec, schedule_digest=f"{spec.schedule_digest} avg[{pairs}]")
 

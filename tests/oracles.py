@@ -168,17 +168,17 @@ def row_loop_kernel(schedule, params):
     return g1, g2
 
 
-def per_detuning_average(schedule, params, deltas, weights):
+def per_detuning_average(schedule, params, deltas, weights, omega_grid):
     """Emission and direct absorption of a detuning mixture, one run per detuning.
 
     Each detuning gets its own kernel and its own transform onto
-    ``params.omega_grid``; the spectra are then averaged with the weights.
+    ``omega_grid``; the spectra are then averaged with the weights.
     """
-    emission = np.zeros(params.omega_grid.size)
-    direct = np.zeros(params.omega_grid.size)
+    emission = np.zeros(len(omega_grid))
+    direct = np.zeros(len(omega_grid))
     for delta, weight in zip(deltas, weights):
         kern = accumulate_kernel(schedule, replace(params, delta=float(delta)))
-        spec = spectrum_from_kernel(kern, params.omega_grid)
+        spec = spectrum_from_kernel(kern, omega_grid)
         emission += weight * spec.emission
         direct += weight * spec.direct_absorption
     return emission, direct

@@ -57,6 +57,34 @@ def test_window_off_the_step_lattice_is_a_configuration_error(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("sizes", [
+    ["--t-end", "1e308", "--dt", "1e-308"],
+    ["--t-end", "1", "--omega-min=-1e308", "--omega-max", "1e308"],
+])
+def test_sizes_that_overflow_are_a_configuration_error(tmp_path, capsys, sizes):
+    out = tmp_path / "x.csv"
+    assert main(["--protocol", "none", *sizes, "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("exc", [
+    MemoryError(),
+    MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000001,)"),
+])
+def test_memory_error_is_a_runtime_error(tmp_path, monkeypatch, capsys, exc):
+    # what a run whose arrays cannot be allocated raises, without allocating
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "accumulate_kernel", exhausted)
+    out = tmp_path / "x.csv"
+    assert main(["--protocol", "none", "--t-end", "1", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(exc or "MemoryError") in err
+
+
 @pytest.mark.parametrize("outputs, blocker", [
     (["-o", "{dir}/missing/x.csv"], None),
     (["-o", "{dir}/x.csv", "--plot-script", "{dir}/missing/x.gp"], None),
@@ -240,7 +268,7 @@ def test_meta_round_trip_with_warnings(tmp_path, capsys):
     assert meta["kernel_method"] == "fft"
     assert meta["transform_method"] == "chirp-z"
     assert int(meta["n_steps"]) == params.n_steps == 40
-    assert int(meta["n_omega"]) == params.omega_grid.size
+    assert int(meta["n_omega"]) == config.build_omega_grid().size
     assert meta["n_deltas"] == "1"
     assert meta["pulsespec_version"] == pulsespec.__version__
     assert meta["numpy_version"] == np.__version__
@@ -254,7 +282,7 @@ def test_meta_round_trip_with_warnings(tmp_path, capsys):
 
     rows = out.read_text().splitlines()
     assert rows[0] == CSV_HEADER
-    assert len(rows) == 1 + params.omega_grid.size
+    assert len(rows) == 1 + config.build_omega_grid().size
 
 
 AVERAGE = ["--protocol", "pz", "--n-pulses", "4", "--tau", "0.25", "--dt", "0.01",
@@ -275,9 +303,9 @@ def test_meta_of_a_detuning_average(tmp_path, capsys):
     config = parse_config([*AVERAGE, "-o", str(out)])
     params = config.build_params()
     kern = accumulate_kernel(config.build_schedule(), params, [0.0, 1.0], [0.5, 0.5])
-    spec = spectrum_from_kernel(kern, params.omega_grid)
+    spec = spectrum_from_kernel(kern, config.build_omega_grid())
     lhs, rhs = float(meta["sum_rule_lhs"]), float(meta["sum_rule_rhs"])
-    assert (lhs, rhs) == emission_sum_rule(spec, kern)
+    assert (lhs, rhs) == emission_sum_rule(spec)
     note = f"emission sum rule off by {abs(lhs / rhs - 1):.1%}"
     assert abs(lhs / rhs - 1) > 0.10
     assert note in meta["warnings"] and f"warning: {note}" in capsys.readouterr().err

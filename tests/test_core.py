@@ -12,6 +12,7 @@ from pulsespec import (
     SpectrumResult,
     default_omega_grid,
 )
+from pulsespec.core import check_omega_grid
 
 from oracles import (
     SIGMA_PLUS,
@@ -157,10 +158,17 @@ class TestSimParams:
         with pytest.raises(ValueError, match="finite"):
             SimParams(**{"delta": 0.0, name: bad})
 
+    def test_is_a_value(self):
+        a, b = SimParams(delta=0.0), SimParams(delta=0.0)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, SimParams(delta=1.0)}) == 2
+        assert a != SimParams(delta=0.0, dt=2e-3)
+
+    # the detector grid is no SimParams field: these check its own check
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_omega(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            SimParams(delta=0, omega_grid=[0.0, 1.0, bad])
+            check_omega_grid([0.0, 1.0, bad])
         with pytest.raises(ValueError, match="finite"):
             default_omega_grid(-1.0, bad, 0.5)
         with pytest.raises(ValueError, match="finite"):
@@ -172,7 +180,10 @@ class TestSimParams:
 
     def test_rejects_unsorted_omega(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            SimParams(delta=0, omega_grid=[0.0, 1.0, 0.5])
+            check_omega_grid([0.0, 1.0, 0.5])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            # steps below the resolution of doubles near 1e16
+            default_omega_grid(1e16, 1e16 + 2.0, 0.5)
 
     def test_time_grid(self):
         p = SimParams(delta=0, t_end=0.01, dt=1e-3)
@@ -197,13 +208,27 @@ class TestSimParams:
 class TestResultTypes:
     def test_kernel_copies_the_callers_arrays(self):
         params = SimParams(delta=0, t_end=0.01, dt=1e-3)
-        theta = params.time_grid()
-        g = np.ones(theta.size, complex)
-        kern = CorrelationKernel(theta, g, g.copy(), params, "x")
-        theta[0], g[0] = 0.1, 2.0  # the caller's arrays stay writable
-        assert (kern.theta_grid[0], kern.g1[0]) == (0.0, 1.0)
+        g = np.ones(params.n_steps + 1, complex)
+        kern = CorrelationKernel(g, g.copy(), params, "x")
+        g[0] = 2.0  # the caller's arrays stay writable
+        assert kern.g1[0] == 1.0
         with pytest.raises(ValueError, match="read-only"):
             kern.g1[0] = 0.0
+
+    def test_kernel_lives_on_the_run_time_grid(self):
+        params = SimParams(delta=0, t_end=0.01, dt=1e-3)
+        g = np.ones(params.n_steps + 1, complex)
+        kern = CorrelationKernel(g, g.copy(), params, "x")
+        assert np.array_equal(kern.theta_grid, params.time_grid())
+        with pytest.raises(AttributeError):
+            kern.theta_grid = params.time_grid()
+        for n in (0, 1, params.n_steps, params.n_steps + 2):
+            with pytest.raises(ValueError, match="n_steps"):
+                CorrelationKernel(g[:1].repeat(n), g, params, "x")
+            with pytest.raises(ValueError, match="n_steps"):
+                CorrelationKernel(g, g[:1].repeat(n), params, "x")
+        with pytest.raises(ValueError, match="n_steps"):
+            CorrelationKernel(np.ones((2, g.size)), g, params, "x")
 
     def test_spectrum_copies_the_callers_arrays(self):
         omega, p = np.linspace(-1.0, 1.0, 5), np.ones(5)

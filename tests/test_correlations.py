@@ -17,6 +17,7 @@ from pulsespec import (
     PulseSchedule,
     SimParams,
     accumulate_kernel,
+    default_omega_grid,
     density_trajectory,
     detuning_average,
     no_drive_schedule,
@@ -166,8 +167,7 @@ class TestCoarseBruteForce:
     def setup_method(self):
         self.sched = PulseSchedule(events=(PulseEvent(0.2, PulseAxis.X),),
                                    window_end=0.4)
-        self.params = SimParams(delta=1.3, gamma=2.0, t_end=0.4, dt=0.1,
-                                omega_grid=[0.0])
+        self.params = SimParams(delta=1.3, gamma=2.0, t_end=0.4, dt=0.1)
 
     def _segments(self, vec, t0, t1):
         # independent evolution: RK4 propagator + explicit pulse map; on
@@ -382,9 +382,10 @@ class TestDetuningMixture:
     @given(run=mixtures())
     def test_average_matches_per_detuning_runs(self, run):
         sched, params, deltas, weights = run
-        avg = detuning_average(sched, params, deltas, weights)
+        grid = default_omega_grid()
+        avg = detuning_average(sched, params, deltas, weights, grid)
         for got, want in zip((avg.emission, avg.direct_absorption),
-                             per_detuning_average(sched, params, deltas, weights)):
+                             per_detuning_average(sched, params, deltas, weights, grid)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_zero_weights_are_not_computed(self, monkeypatch):
@@ -415,6 +416,22 @@ class TestDetuningMixture:
         deltas = np.linspace(-2.0, 2.0, n_deltas)
         accumulate_kernel(sched, params, deltas, np.full(n_deltas, 1.0 / n_deltas))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("n_deltas", [1, 2, 9])
+    def test_pulse_maps_run_once_per_interval(self, monkeypatch, n_deltas):
+        # every detuning goes through one _advance call per pulsed interval
+        advance, starts = dynamics._advance, []
+
+        def spy(state, t0, *args):
+            starts.append(t0)
+            return advance(state, t0, *args)
+
+        monkeypatch.setattr(dynamics, "_advance", spy)
+        sched = uhrig_schedule(4, 1.0)  # pulses at 0.0955, 0.345, 0.655, 0.9045
+        params = SimParams(delta=0.5, t_end=1.0, dt=1e-2)
+        deltas = np.linspace(-2.0, 2.0, n_deltas)
+        accumulate_kernel(sched, params, deltas, np.full(n_deltas, 1.0 / n_deltas))
+        assert [round(t / params.dt) for t in starts] == [9, 34, 65, 90]
 
     @settings(max_examples=20, deadline=None)
     @given(run=mixtures())

@@ -53,9 +53,8 @@ def exact_oracle(rho, h, delta, gamma):
 
 
 def free_step(m, h, delta, gamma):
-    """``_free_step`` on a matrix, with the rates given directly."""
-    params = SimParams(delta=delta, gamma=gamma, t_end=1.0, dt=0.5)
-    return matrix(_free_step(state(m), h, params))
+    """``_free_step`` on a matrix."""
+    return matrix(_free_step(state(m), h, delta, gamma))
 
 
 def assert_matches_oracle(m, h, delta, gamma, tol=1e-15):
@@ -93,7 +92,7 @@ class TestFreeDerivative:
         assert np.array_equal(free_step(op(), 1e-3, 1.0, 2.0), op())
 
     def test_rejects_nonpositive_gamma(self):
-        # the rates reach _free_step only through SimParams
+        # on the pipeline path the rates reach _free_step from SimParams
         for gamma in (0.0, -2.0):
             with pytest.raises(ValueError, match="gamma"):
                 SimParams(delta=0.0, gamma=gamma)

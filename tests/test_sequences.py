@@ -80,12 +80,6 @@ class TestUhrig:
         for j, t in enumerate(times, start=1):
             assert t == pytest.approx(t_end * math.sin(j * math.pi / (2 * (n + 1))) ** 2)
 
-    def test_include_final(self):
-        s = uhrig_schedule(4, 1.5, include_final=True)
-        assert len(s.events) == 5
-        assert s.events[-1].time == pytest.approx(1.5)
-        assert s.events[-1].axis is PulseAxis.X
-
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             uhrig_schedule(0, 1.0)
