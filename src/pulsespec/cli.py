@@ -61,7 +61,8 @@ class RunConfig:
     average_deltas: list[tuple[float, float]] | None = None
     plot_script: str | None = None
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[PulseSchedule, SimParams, np.ndarray]:
+        """Check the configuration; return the schedule, SimParams and omega grid."""
         if self.protocol not in PROTOCOLS:
             raise ConfigError(
                 f"protocol: must be one of {'/'.join(PROTOCOLS)}, got {self.protocol!r}"
@@ -98,9 +99,7 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"average_deltas: {exc}") from None
         try:
-            self.build_schedule()
-            self.build_params()
-            self.build_omega_grid()
+            return self.build_schedule(), self.build_params(), self.build_omega_grid()
         except (ValueError, ArithmeticError) as exc:
             raise ConfigError(str(exc)) from None
 
@@ -344,7 +343,7 @@ def _write_metadata(path: str, config: RunConfig, spec: SpectrumResult,
     if sum_rule is not None:
         lines.append(f"sum_rule_lhs={sum_rule[0]:.17g}")
         lines.append(f"sum_rule_rhs={sum_rule[1]:.17g}")
-    lines.append("kernel_method=fft")
+    lines.append("kernel_method=prefix-sums")
     lines.append("transform_method=chirp-z")
     lines.append(f"warnings={' | '.join(notes)}")
     lines.append(f"n_steps={spec.params.n_steps}")
@@ -395,14 +394,11 @@ def run(config: RunConfig) -> SpectrumResult:
 
     Every output path is checked for writing before anything is computed.
     """
-    config.validate()
+    schedule, params, omega = config.validate()
     outputs = [config.output_path, config.output_path + ".meta"]
     if config.plot_script:
         outputs.append(config.plot_script)
     _check_writable(outputs)
-    schedule = config.build_schedule()
-    params = config.build_params()
-    omega = config.build_omega_grid()
 
     sum_rule = None
     with warnings.catch_warnings(record=True) as caught:

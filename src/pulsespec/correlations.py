@@ -15,18 +15,27 @@ are ever stored, never the full (t, theta) grid.
 stay zero, so both seeds are pure coherences (ge = rho_ee, resp. rho_gg)
 evolving under the monomial coherence map M of ``dynamics.GridState``. So
 C1 = rho_ee(t) K and C2 = rho_gg(t) K with
-K(t, theta) = [M(t+theta) M(t)^-1]_ge,ge, and each t-sum is a
-cross-correlation per coherence column, done with FFTs in O(N log N). The
-decay e^{theta*rate} is an envelope taken out first, so the FFT operands
-have modulus near one and long windows keep full precision.
+K(t, theta) = [M(t+theta) M(t)^-1]_ge,ge. Between pulses M is one constant
+coefficient times e^{k(rate + i phase)}, so on the pulse-free stretches the
+t-sum is a difference of prefix sums: with Lambda_c the prefix sum of
+seed / coef over the rows on column c,
+
+    G[j] = e^{j(rate + i phase)} sum_s coef_s (Lambda_c[b_s - j] - Lambda_c[a_s - j])
+
+over the stretches s = [a_s, b_s), c the column of s. Each stretch boundary
+adds one reversed slice of a prefix sum, so the cost is O(S N) for S
+stretches, with no FFT. The decay e^{theta*rate} is an envelope taken out first, so the
+prefix sums stay of the size of the window and long windows keep full
+precision.
 
 The kernel is linear in the correlators, so a detuning ensemble is one
-weighted kernel sum_d w_d G_d: each detuning adds its own cross-correlations
-under its own envelope into one accumulator, and a single detuning is the
-one-point mixture. The populations, and with them G(0), do not depend on
-the detuning; one ``grid_state`` call gives them together with the
-coherence map of every detuning. The kernel sits on the run's own lags
-theta_j = j*dt and stores no grid; the detector grid is the transform's.
+weighted kernel sum_d w_d G_d: all detunings go through the same slices at
+once, and their kernels are added under their own envelopes; a single
+detuning is the one-point mixture. The populations, the stretches and their
+columns, and with them G(0), do not depend on the detuning; one
+``grid_state`` call gives them together with the coefficients of every
+detuning. The kernel sits on the run's own lags theta_j = j*dt and stores no
+grid; the detector grid is the transform's.
 """
 
 from __future__ import annotations
@@ -37,20 +46,6 @@ from .core import CorrelationKernel, PulseSchedule, SimParams, check_mixture
 from .dynamics import grid_state
 
 
-def fft_length(n: int) -> int:
-    """The smallest 2^a 3^b 5^c >= n, a length numpy's FFT handles fast."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # smallest p35 * 2^a >= n: 2^a >= ceil(n / p35)
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
                       deltas: np.ndarray | None = None,
                       weights: np.ndarray | None = None) -> CorrelationKernel:
@@ -58,16 +53,17 @@ def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
 
     G[j] = sum_k w_k C(t_k, theta_j) over the rows k = 0..N-j (the
     integration triangle), with trapezoidal row weights: dt/2 for the rows
-    seeded at t = 0 and t = T, dt for the rest. For each family the sum is
-    two cross-correlations, one per coherence column, computed with
-    zero-padded FFTs; G(0) is the direct sum of the weighted populations, so
-    it is real. Repeated runs are bit-identical.
+    seeded at t = 0 and t = T, dt for the rest. The sum runs over the
+    stretches of ``grid_state``: one prefix sum per coherence column, then
+    one reversed slice of it per stretch boundary, a single one where the
+    stretches on both sides share the column. G(0) is the direct sum of the
+    weighted populations, so it is real. Repeated runs are bit-identical.
 
     With ``deltas`` and ``weights`` (a mixture as ``core.check_mixture``
     accepts it) the result is the weighted kernel sum_d w_d G_d of that
-    detuning mixture, computed one detuning at a time from one
-    ``grid_state`` pass; zero weights cost nothing. Without them it is the
-    kernel at ``params.delta``. Either way the kernel carries ``params``.
+    detuning mixture, from one ``grid_state`` pass; zero weights cost
+    nothing. Without them it is the kernel at ``params.delta``. Either way
+    the kernel carries ``params``.
     """
     params.check_schedule(schedule)
     if deltas is None:
@@ -76,20 +72,32 @@ def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
     n, dt = params.n_steps, params.dt
     w = np.full(n + 1, dt)
     w[0] = w[-1] = 0.5 * dt
-    size = fft_length(2 * n + 1)  # nothing wraps around
-    steps = np.arange(n + 1)
     used = weights > 0
     s = grid_state(schedule, params, deltas[used])
     seeds = np.stack([w * s.ee, w * s.gg])  # row weights of C1 and C2, any delta
-    g = np.zeros((2, n + 1), complex)
-    for ge, eg, rate, weight in zip(s.ge, s.eg, s.rate, weights[used]):
-        later = np.stack([ge, eg.conj()])  # M[ge, c] e^{-k*rate}, c = ge, eg
-        # = seeds / conj(later), so conj(earlier[k]) * later[k + j] is
-        # w_k rho(t_k) K(t_k, theta_j) e^{-j*rate} on the column that is nonzero
-        earlier = seeds[:, None] * later / (np.abs(ge) + np.abs(eg)) ** 2
-        both = np.fft.fft(earlier, size).conj() * np.fft.fft(later, size)
-        g += weight * (np.fft.ifft(both.sum(axis=1))[:, :n + 1]
-                       * np.exp(rate * steps))
+    # lam[c, d, f, k] = Lambda_c[k + 1] of family f at detuning d; complex
+    # seeds make the products below complex by complex, the fast loop
+    lam = np.zeros((2, s.coef.shape[1], 2, n + 1), complex)
+    rows = seeds.astype(complex)
+    # stretch [a, b) on column c adds coef (Lambda_c[b - j] - Lambda_c[a - j])
+    # to G[j]; the terms of one boundary and column add up to one slice
+    terms = {}
+    for a, b, c, coef in zip(s.starts, [*s.starts[1:], n + 1], s.columns, s.coef):
+        np.multiply(rows[:, a:b], 1.0 / coef[:, None, None], out=lam[c, :, :, a:b])
+        terms[b, c] = terms.get((b, c), 0.0) + coef
+        terms[a, c] = terms.get((a, c), 0.0) - coef
+    for c in set(s.columns):
+        np.cumsum(lam[c], axis=-1, out=lam[c])
+    # rev[..., n - j] = G[j], so the reversed slice Lambda_c[m - j], j < m,
+    # is the forward slice lam[c, ..., :m] added to rev[..., n + 1 - m:]
+    rev = np.zeros(lam.shape[1:], complex)
+    work = np.empty_like(rev)
+    for (m, c), x in terms.items():
+        np.multiply(lam[c, :, :, :m], x[:, None, None], out=work[:, :, :m])
+        rev[:, :, n + 1 - m:] += work[:, :, :m]
+    envelope = weights[used, None] * np.exp(np.outer(s.rate + 1j * s.phase,
+                                                     np.arange(n + 1)))
+    g = np.einsum("dj,dfj->fj", envelope, rev[:, :, ::-1])
     g[:, 0] = seeds.sum(axis=1)
     return CorrelationKernel(g1=g[0], g2=g[1], params=params,
                              schedule_digest=schedule.digest())

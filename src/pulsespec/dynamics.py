@@ -99,23 +99,29 @@ def _advance(state: tuple, t0: float, t1: float, events, dt: float,
 
 
 class GridState(NamedTuple):
-    """Populations ``ee``, ``gg`` and coherence maps M_d on the grid t_k = k*dt.
+    """Populations on the grid t_k = k*dt and coherence maps M_d by stretches.
 
     From the excited start the coherences of rho stay zero. M(t) of [0, t]
     acts on (ge, eg) and is monomial: free steps multiply ge by the phase p
     and eg by conj(p), X and Y pulses swap the pair (Y with a sign), Z
-    negates both. The populations do not depend on the detuning, M does:
-    ``ge``, ``eg`` and ``rate`` have one row per detuning d. ``ge[d]``,
-    ``eg[d]`` hold M_d(t_k) e_ge / |p_d(dt)|^k: one is zero, the other of
-    modulus near one. With rate[d] = log|p_d(dt)|, the ge row of M_d(t_k)
-    is e^{k*rate[d]} (ge[d], conj(eg[d])).
+    negates both. The populations ``ee``, ``gg`` do not depend on the
+    detuning and are stored on the grid. The grid intervals that hold
+    pulses cut the grid points into S stretches; stretch s runs from
+    ``starts[s]`` up to the next start (the last one to t_N). With p_d(dt) =
+    e^{rate[d] + i phase[d]}, the ge row of M_d(t_k) on stretch s has one
+    nonzero entry, in column ``columns[s]`` (0 for ge, 1 for eg):
+    e^{k (rate[d] + i phase[d])} coef[s, d], with |coef| near one.
+    ``starts`` and ``columns`` do not depend on the detuning either;
+    ``coef`` has one column, ``rate`` and ``phase`` one entry per detuning.
     """
 
     ee: np.ndarray
     gg: np.ndarray
-    ge: np.ndarray
-    eg: np.ndarray
+    starts: np.ndarray
+    columns: np.ndarray
+    coef: np.ndarray
     rate: np.ndarray
+    phase: np.ndarray
 
 
 def grid_state(schedule: PulseSchedule, params: SimParams,
@@ -127,7 +133,7 @@ def grid_state(schedule: PulseSchedule, params: SimParams,
     ``step_multipliers`` factors; a grid interval with pulses goes through
     one ``_advance`` call for all detunings at once. The state carried from
     one stretch to the next is (ee, gg, ge, eg) at its first grid point,
-    with ``ge`` and ``eg`` arrays over the detunings, scaled as in GridState.
+    with ``ge`` and ``eg`` the column e_ge of every M_d over |p_d(dt)|^k.
     """
     n, dt, gamma = params.n_steps, params.dt, params.gamma
     deltas = np.array([params.delta] if deltas is None else deltas, dtype=float)
@@ -135,28 +141,29 @@ def grid_state(schedule: PulseSchedule, params: SimParams,
     # pulse i acts in the interval (t_{m-1}, t_m], m = where[i]; pulses with
     # m = 0 (within TIME_SNAP of t = 0) or m = n + 1 never act
     where = np.searchsorted(grid + TIME_SNAP * dt, schedule.times)
+    starts = np.array([0, *np.unique(where[(where > 0) & (where <= n)])])
     decay, phases = step_multipliers(dt, deltas, gamma)
-    log_decay, scales = math.log(decay), np.abs(phases)
-    turn = np.exp(1j * np.angle(phases)[:, None] * np.arange(n + 1))
+    log_decay, scales, phase = math.log(decay), np.abs(phases), np.angle(phases)
     ee, gg = np.empty(n + 1), np.empty(n + 1)
-    ge, eg = np.empty(turn.shape, complex), np.empty(turn.shape, complex)
-    # populations, and the column e_ge of every M_d
-    state, k = (1.0, 0.0, np.ones(deltas.size, complex), np.zeros(deltas.size, complex)), 0
-    for m in [*np.unique(where[(where > 0) & (where <= n)]), n + 1]:
-        j = np.arange(m - k)
+    columns = np.empty(starts.size, int)
+    coef = np.empty((starts.size, deltas.size), complex)
+    state = (1.0, 0.0, np.ones(deltas.size, complex), np.zeros(deltas.size, complex))
+    for s, (k, m) in enumerate(zip(starts, [*starts[1:], n + 1])):
         ee0, gg0, ge0, eg0 = state
+        columns[s] = eg0[0] != 0
+        coef[s] = (eg0.conj() if columns[s] else ge0) * np.exp(-1j * phase * k)
+        j = np.arange(m - k)
         ee[k:m] = ee0 * np.exp(j * log_decay)
         gg[k:m] = gg0 - ee0 * np.expm1(j * log_decay)
-        ge[:, k:m] = ge0[:, None] * turn[:, :m - k]
-        eg[:, k:m] = eg0[:, None] * turn[:, :m - k].conj()
         if m > n:
             break
+        turn = np.exp(1j * phase * (m - 1 - k))
         inside = schedule.events[np.searchsorted(where, m):
                                  np.searchsorted(where, m, side="right")]
-        ee1, gg1, ge1, eg1 = _advance((ee[m - 1], gg[m - 1], ge[:, m - 1], eg[:, m - 1]),
+        ee1, gg1, ge1, eg1 = _advance((ee[m - 1], gg[m - 1], ge0 * turn, eg0 * turn.conj()),
                                       grid[m - 1], grid[m], inside, dt, deltas, gamma)
-        state, k = (ee1, gg1, ge1 / scales, eg1 / scales), m
-    return GridState(ee, gg, ge, eg, np.log(scales))
+        state = (ee1, gg1, ge1 / scales, eg1 / scales)
+    return GridState(ee, gg, starts, columns, coef, np.log(scales), phase)
 
 
 class Trajectory(NamedTuple):

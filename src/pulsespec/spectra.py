@@ -22,7 +22,21 @@ import numpy as np
 
 from .core import (CorrelationKernel, PulseSchedule, SimParams, SpectrumResult,
                    check_omega_grid)
-from .correlations import accumulate_kernel, fft_length
+from .correlations import accumulate_kernel
+
+
+def fft_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length numpy's FFT handles fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # smallest p35 * 2^a >= n: 2^a >= ceil(n / p35)
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def spectrum_from_kernel(kernel: CorrelationKernel,

@@ -265,7 +265,7 @@ def test_meta_round_trip_with_warnings(tmp_path, capsys):
         assert float(meta[key]) == getattr(config, key)
     assert float(meta["t_end"]) == params.t_end
     assert meta["schedule_digest"] == config.build_schedule().digest()
-    assert meta["kernel_method"] == "fft"
+    assert meta["kernel_method"] == "prefix-sums"
     assert meta["transform_method"] == "chirp-z"
     assert int(meta["n_steps"]) == params.n_steps == 40
     assert int(meta["n_omega"]) == config.build_omega_grid().size
@@ -324,6 +324,28 @@ def test_detuning_average_builds_one_kernel(tmp_path, monkeypatch):
     assert main([*AVERAGE, "-o", str(out)]) == 0
     assert len(kernels) == 1
     assert float(read_meta(out)["sum_rule_rhs"]) == kernels[0].g1[0].real
+
+
+@pytest.mark.parametrize("average", [False, True])
+def test_run_inputs_are_built_twice_per_main(tmp_path, monkeypatch, average):
+    # once by parse_config's validation, once by run, which computes with them
+    builds = ("build_schedule", "build_params", "build_omega_grid")
+    calls = []
+
+    def counted(name):
+        build = getattr(cli.RunConfig, name)
+
+        def counting(self):
+            calls.append(name)
+            return build(self)
+        return counting
+
+    for name in builds:
+        monkeypatch.setattr(cli.RunConfig, name, counted(name))
+    argv = AVERAGE if average else ["--protocol", "uhrig", "--n-pulses", "4",
+                                    "--t-end", "0.4", "--dt", "0.01"]
+    assert main([*argv, "-o", str(tmp_path / "a.csv")]) == 0
+    assert sorted(calls) == sorted(2 * builds)
 
 
 @pytest.mark.parametrize("where", ["flag", "file"])

@@ -24,7 +24,7 @@ from pulsespec import (
     periodic_schedule,
     uhrig_schedule,
 )
-from pulsespec.correlations import fft_length
+from pulsespec.spectra import fft_length
 from pulsespec.dynamics import step_multipliers
 
 from oracles import (correlator_row, evolve_operator, op, per_detuning_average,
@@ -269,8 +269,8 @@ class TestFftKernelOracles:
         assert np.max(np.abs(kern.g2 - g2)) < 1e-12
 
     def test_long_window_z_train_against_direct_sum(self):
-        # gamma*T = 200: without the decay envelope taken out, the FFT
-        # operands would span e^{+-100} and lose every digit
+        # gamma*T = 200: without the decay envelope taken out, the prefix
+        # sums would span e^{+-100} and lose every digit
         delta, gamma, t_end, dt = 3.0, 2.0, 100.0, 0.05
         times = 0.013 + 0.9973 * np.arange(1, 100)  # Z pulses off the grid
         sched = PulseSchedule(
@@ -321,6 +321,48 @@ class TestFftKernelOracles:
         assert np.max(np.abs(kern.g1 - g1)) < 1e-12
         assert np.max(np.abs(kern.g2 - g2)) < 1e-12
 
+    @staticmethod
+    def dense_run():
+        """61 pulses and 61 stretches on a 90-step grid.
+
+        Alternating X/Y pulses switch the column at every boundary; a run of Z
+        pulses keeps it, so both sides of those boundaries share one slice.
+        Two pulses share one grid interval, eight sit within TIME_SNAP of a
+        grid point, and the last one at T.
+        """
+        dt, n = 0.1, 90
+        snap = TIME_SNAP * dt
+        pulses = [((k + 0.37) * dt, (PulseAxis.X, PulseAxis.Y)[k % 2])
+                  for k in range(1, 31)]
+        pulses += [((k + 0.5) * dt, PulseAxis.Z) for k in range(32, 52)]
+        pulses += [(55.2 * dt, PulseAxis.X), (55.7 * dt, PulseAxis.Z)]
+        pulses += [(60 * dt + 0.3 * snap, PulseAxis.X), (70 * dt - 0.3 * snap, PulseAxis.Y)]
+        pulses += [(k * dt + 0.4 * snap, PulseAxis.Z) for k in range(75, 81)]
+        pulses += [(n * dt, PulseAxis.Y)]
+        sched = PulseSchedule(tuple(PulseEvent(t, axis) for t, axis in pulses),
+                              window_end=n * dt)
+        return sched, SimParams(delta=2.5, gamma=2.0, t_end=n * dt, dt=dt)
+
+    def test_dense_train_matches_row_loop(self):
+        sched, params = self.dense_run()
+        s = dynamics.grid_state(sched, params)
+        assert len(sched.events) == 61 and s.starts.size == 61
+        same = s.columns[1:] == s.columns[:-1]
+        assert same.sum() >= 20 and (~same).sum() >= 30
+        kern = accumulate_kernel(sched, params)
+        g1, g2 = row_loop_kernel(sched, params)
+        assert np.max(np.abs(kern.g1 - g1)) < 1e-12
+        assert np.max(np.abs(kern.g2 - g2)) < 1e-12
+
+    def test_dense_train_mixture_matches_per_detuning_runs(self):
+        sched, params = self.dense_run()
+        deltas, weights = [-1.5, 0.5, 4.0], [0.3, 0.0, 0.7]
+        grid = default_omega_grid()
+        avg = detuning_average(sched, params, deltas, weights, grid)
+        for got, want in zip((avg.emission, avg.direct_absorption),
+                             per_detuning_average(sched, params, deltas, weights, grid)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_never_builds_the_trajectory(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("accumulate_kernel called density_trajectory")
@@ -345,9 +387,10 @@ class TestFftLength:
 
     @pytest.mark.parametrize("n", [22, 37, 40])
     def test_kernel_without_padding_slack(self, n):
-        # 2n + 1 is 5-smooth, so the cross-correlation has no spare zeros; an
-        # even number of X/Y pulses ends on the ge column, which a wrap-around
-        # at lag n would pair with the start
+        # an even number of X/Y pulses ends on the ge column, so lag n pairs
+        # the last row with the first; 2n + 1 is 5-smooth, the length at which
+        # an FFT cross-correlation of the rows has no spare zeros to keep a
+        # wrap-around off that pair
         assert fft_length(2 * n + 1) == 2 * n + 1
         dt = 0.05
         events = (PulseEvent(3 * dt, PulseAxis.X), PulseEvent(7.4 * dt, PulseAxis.Z),
@@ -441,8 +484,11 @@ class TestDetuningMixture:
         for d, delta in enumerate(deltas):
             one = dynamics.grid_state(sched, replace(params, delta=float(delta)))
             assert np.array_equal(many.ee, one.ee) and np.array_equal(many.gg, one.gg)
-            for got, want in zip(many[2:], one[2:]):
-                assert np.array_equal(got[d], want[0])  # bit for bit
+            assert np.array_equal(many.starts, one.starts)
+            assert np.array_equal(many.columns, one.columns)
+            assert np.array_equal(many.coef[:, d], one.coef[:, 0])  # bit for bit
+            for got, want in zip((many.rate, many.phase), (one.rate, one.phase)):
+                assert np.array_equal(got[d], want[0])
 
 
 class TestRandomScheduleInvariants:

@@ -25,8 +25,7 @@ from pulsespec import (
     uhrig_schedule,
 )
 from pulsespec import spectra
-from pulsespec.correlations import fft_length
-from pulsespec.spectra import smooth3
+from pulsespec.spectra import fft_length, smooth3
 
 from oracles import per_detuning_average
 
