@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -30,6 +31,7 @@ from . import __version__
 from .core import (PulseAxis, PulseSchedule, SimParams, SpectrumResult, check_mixture,
                    default_omega_grid)
 from .correlations import accumulate_kernel
+from .dynamics import stable_step
 from .sequences import no_drive_schedule, periodic_schedule, uhrig_schedule
 from .spectra import detuning_average, emission_sum_rule, spectrum_from_kernel
 
@@ -99,7 +101,10 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"average_deltas: {exc}") from None
         try:
-            return self.build_schedule(), self.build_params(), self.build_omega_grid()
+            schedule, params = self.build_schedule(), self.build_params()
+            weighted = self.average_deltas or [(params.delta, 1.0)]
+            stable_step(params.dt, [d for d, w in weighted if w > 0], params.gamma)
+            return schedule, params, self.build_omega_grid()
         except (ValueError, ArithmeticError) as exc:
             raise ConfigError(str(exc)) from None
 
@@ -131,6 +136,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="pulsespec", add_help=True, description=__doc__)
     p.add_argument("--config", metavar="FILE", help="key=value configuration file")
@@ -171,14 +177,15 @@ def _parse_average(text: str) -> list[tuple[float, float]]:
     return pairs
 
 
-def _config_keys(parser: argparse.ArgumentParser) -> dict[str, tuple[str, type]]:
+@functools.cache
+def _config_keys() -> dict[str, tuple[str, type]]:
     """Config-file key -> (RunConfig field, value parser), one per flag.
 
     Read off the parser's own flags, so each key is declared once; the file
     key is the field name, except ``output`` for ``output_path``.
     """
     keys = {}
-    for action in parser._actions:
+    for action in _build_parser()._actions:
         if action.dest in ("help", "config"):
             continue
         key = "output" if action.dest == "output_path" else action.dest
@@ -217,9 +224,8 @@ def _read_config_file(path: str, keys: dict) -> dict:
 
 def parse_config(args: list[str], config_file: str | None = None) -> RunConfig:
     """Resolve a RunConfig from flags layered over an optional config file."""
-    parser = _build_parser()
-    ns = parser.parse_args(args)
-    keys = _config_keys(parser)
+    ns = _build_parser().parse_args(args)
+    keys = _config_keys()
     path = ns.config or config_file
     merged = _read_config_file(path, keys) if path else {}
     for dest, _ in keys.values():
@@ -408,6 +414,8 @@ def run(config: RunConfig) -> SpectrumResult:
             spec = detuning_average(schedule, params, deltas, weights, omega)
         else:
             spec = spectrum_from_kernel(accumulate_kernel(schedule, params), omega)
+        if not (np.isfinite(spec.emission).all() and np.isfinite(spec.direct_absorption).all()):
+            raise ArithmeticError("the spectrum is not finite; nothing written")
         try:
             sum_rule = emission_sum_rule(spec)
         except ValueError:

@@ -26,7 +26,7 @@ over the stretches s = [a_s, b_s), c the column of s. Each stretch boundary
 adds one reversed slice of a prefix sum, so the cost is O(S N) for S
 stretches, with no FFT. The decay e^{theta*rate} is an envelope taken out first, so the
 prefix sums stay of the size of the window and long windows keep full
-precision.
+precision; it comes from two short tables, with no exp per lag (``exp_powers``).
 
 The kernel is linear in the correlators, so a detuning ensemble is one
 weighted kernel sum_d w_d G_d: all detunings go through the same slices at
@@ -40,10 +40,20 @@ grid; the detector grid is the transform's.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import CorrelationKernel, PulseSchedule, SimParams, check_mixture
 from .dynamics import grid_state
+
+
+def exp_powers(z: np.ndarray, n: int) -> np.ndarray:
+    """e^{j z}, j = 0..n, a row per z: e^{q b z} e^{r z}, j = q b + r, b = isqrt(n) + 1."""
+    b = math.isqrt(n) + 1
+    r = np.arange(b)
+    hi, lo = np.exp(np.multiply.outer(z, b * r)), np.exp(np.multiply.outer(z, r))
+    return (hi[:, :, None] * lo[:, None, :]).reshape(z.size, b * b)[:, :n + 1]
 
 
 def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
@@ -95,8 +105,7 @@ def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
     for (m, c), x in terms.items():
         np.multiply(lam[c, :, :, :m], x[:, None, None], out=work[:, :, :m])
         rev[:, :, n + 1 - m:] += work[:, :, :m]
-    envelope = weights[used, None] * np.exp(np.outer(s.rate + 1j * s.phase,
-                                                     np.arange(n + 1)))
+    envelope = weights[used, None] * exp_powers(s.rate + 1j * s.phase, n)
     g = np.einsum("dj,dfj->fj", envelope, rev[:, :, ::-1])
     g[:, 0] = seeds.sum(axis=1)
     return CorrelationKernel(g1=g[0], g2=g[1], params=params,

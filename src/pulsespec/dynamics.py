@@ -1,20 +1,21 @@
 """Free evolution between pulses and instantaneous pulse maps.
 
-The pipeline state is a plain tuple (ee, gg, ge, eg) of density-matrix
-elements in the {|e>, |g>} basis: two populations and two coherences. The
-X, Y and Z pi pulses only permute or negate these elements, and from the
-excited start the coherences never couple to the populations, so four
-numbers per grid time are all the pipeline needs.
+The state is (ee, gg, ge, eg), density-matrix elements in the {|e>, |g>}
+basis: two populations and two coherences. The X, Y and Z pi pulses only
+permute or negate these elements (``apply_pulse``), and from the excited
+start the coherences never couple to the populations.
 
 Between pulses the drive is off, so each element obeys a decoupled linear
 equation: populations exchange through spontaneous decay at rate gamma,
 coherences rotate at the detuning and damp at gamma/2. One classical RK4
 step of length h is therefore an elementwise multiplication by a decay and
-a phase factor, the degree-4 Taylor polynomials of ``step_multipliers``.
+a phase factor, the degree-4 Taylor polynomials of ``step_multipliers``;
+``stable_step`` rejects a grid step whose factors do not contract.
 
 Pulses are instantaneous conjugations rho -> sigma_i rho sigma_i. They are
 applied at their exact times by splitting the enclosing grid interval,
-never by snapping the pulse to the grid.
+never by snapping the pulse to the grid; ``grid_state`` splits them all
+in one scalar pass and does the rest in whole-array passes.
 
 Boundary convention: evolving over a grid interval [t0, t1] applies a pulse
 sitting exactly at t1 but not one sitting exactly at t0 (that one is
@@ -25,6 +26,7 @@ a pulse is the post-pulse one.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -68,34 +70,15 @@ def step_multipliers(h: float, delta: float, gamma: float) -> tuple[float, compl
     return decay, phase
 
 
-def _free_step(state: tuple, h: float, deltas, gamma: float) -> tuple:
-    """One pulse-free step of length h at one detuning or an array of them."""
-    ee, gg, ge, eg = state
-    decay, phase = step_multipliers(h, deltas, gamma)
-    return ee * decay, gg + (1.0 - decay) * ee, ge * phase, eg * phase.conjugate()
-
-
-def _advance(state: tuple, t0: float, t1: float, events, dt: float,
-             deltas, gamma: float) -> tuple:
-    """Evolve the state over the grid interval [t0, t1] and the pulses inside it.
-
-    Each pulse in ``events`` that falls in the interval splits it, so the
-    pulse acts at its exact time. Pulses at exactly t0 are excluded, pulses
-    at exactly t1 included; times within TIME_SNAP*dt coincide. One call
-    serves every detuning in ``deltas``, as ``_free_step``.
-    """
-    snap = TIME_SNAP * dt
-    cur = t0
-    for ev in events:
-        if ev.time <= t0 + snap or ev.time > t1 + snap:
-            continue
-        if ev.time - cur > snap:
-            state = _free_step(state, ev.time - cur, deltas, gamma)
-        state = apply_pulse(state, ev.axis)
-        cur = ev.time
-    if t1 - cur > snap:
-        state = _free_step(state, t1 - cur, deltas, gamma)
-    return state
+def stable_step(dt: float, deltas, gamma: float) -> tuple[float, np.ndarray]:
+    """``step_multipliers`` of a grid step dt; ValueError unless 0 < decay < 1, all |phase| < 1."""
+    deltas = np.asarray(deltas, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay, phase = step_multipliers(dt, deltas, gamma)
+        if not (0.0 < decay < 1.0 and np.all(np.abs(phase) < 1.0)):
+            raise ValueError(f"dt={dt:g} is outside the RK4 stability region at gamma="
+                             f"{gamma:g}, max |delta|={np.max(np.abs(deltas)):g}")
+    return decay, phase
 
 
 class GridState(NamedTuple):
@@ -126,43 +109,58 @@ class GridState(NamedTuple):
 
 def grid_state(schedule: PulseSchedule, params: SimParams,
                deltas: np.ndarray | None = None) -> GridState:
-    """Closed-form GridState, one pulse-free stretch of whole steps at a time.
+    """Closed-form GridState for every detuning in ``deltas`` (default: ``params.delta``).
 
-    One pass over the stretches serves every detuning in ``deltas``
-    (default: ``params.delta`` alone). Whole steps act as powers of the
-    ``step_multipliers`` factors; a grid interval with pulses goes through
-    one ``_advance`` call for all detunings at once. The state carried from
-    one stretch to the next is (ee, gg, ge, eg) at its first grid point,
-    with ``ge`` and ``eg`` the column e_ge of every M_d over |p_d(dt)|^k.
+    One scalar pass splits the pulsed grid intervals at their pulses, carrying
+    the populations and, as a signed unit (ge, eg), the column and sign of M
+    through ``apply_pulse``. Then one ``step_multipliers`` call covers all
+    sub-steps and detunings, one cumprod chains the stretches [k, m) by
+    their interval products times e^{i phase (m - 1 - k)} / |p_d(dt)|, and
+    one exp/expm1 gives the populations on the grid.
     """
     n, dt, gamma = params.n_steps, params.dt, params.gamma
+    snap = TIME_SNAP * dt
     deltas = np.array([params.delta] if deltas is None else deltas, dtype=float)
-    grid = params.time_grid()
+    decay, phases = stable_step(dt, deltas, gamma)
+    log_decay, scales, phase = math.log(decay), np.abs(phases), np.angle(phases)
     # pulse i acts in the interval (t_{m-1}, t_m], m = where[i]; pulses with
     # m = 0 (within TIME_SNAP of t = 0) or m = n + 1 never act
-    where = np.searchsorted(grid + TIME_SNAP * dt, schedule.times)
-    starts = np.array([0, *np.unique(where[(where > 0) & (where <= n)])])
-    decay, phases = step_multipliers(dt, deltas, gamma)
-    log_decay, scales, phase = math.log(decay), np.abs(phases), np.angle(phases)
-    ee, gg = np.empty(n + 1), np.empty(n + 1)
-    columns = np.empty(starts.size, int)
-    coef = np.empty((starts.size, deltas.size), complex)
-    state = (1.0, 0.0, np.ones(deltas.size, complex), np.zeros(deltas.size, complex))
-    for s, (k, m) in enumerate(zip(starts, [*starts[1:], n + 1])):
-        ee0, gg0, ge0, eg0 = state
-        columns[s] = eg0[0] != 0
-        coef[s] = (eg0.conj() if columns[s] else ge0) * np.exp(-1j * phase * k)
-        j = np.arange(m - k)
-        ee[k:m] = ee0 * np.exp(j * log_decay)
-        gg[k:m] = gg0 - ee0 * np.expm1(j * log_decay)
-        if m > n:
-            break
-        turn = np.exp(1j * phase * (m - 1 - k))
-        inside = schedule.events[np.searchsorted(where, m):
-                                 np.searchsorted(where, m, side="right")]
-        ee1, gg1, ge1, eg1 = _advance((ee[m - 1], gg[m - 1], ge0 * turn, eg0 * turn.conj()),
-                                      grid[m - 1], grid[m], inside, dt, deltas, gamma)
-        state = (ee1, gg1, ge1 / scales, eg1 / scales)
+    where = np.searchsorted(np.arange(n + 1) * dt + snap, schedule.times).tolist()
+    state = (1.0, 0.0, 1.0, 0.0)  # ee, gg and the signed unit coherence (ge, eg)
+    starts, heads, steps, flips, firsts = [0], [state], [], [], []
+    for m, group in groupby(zip(where, schedule.events), key=lambda pair: pair[0]):
+        if not 0 < m <= n:
+            continue
+        ee, gg, ge, eg = state
+        x = (m - 1 - starts[-1]) * log_decay
+        state, cur = (ee * math.exp(x), gg - ee * math.expm1(x), ge, eg), (m - 1) * dt
+        firsts.append(len(steps))
+        for t, axis in [*((ev.time, ev.axis) for _, ev in group), (m * dt, None)]:
+            if t - cur > snap:  # free sub-step up to t
+                ee, gg, ge, eg = state
+                d = step_multipliers(t - cur, 0.0, gamma)[0]
+                state = (ee * d, gg + (1.0 - d) * ee, ge, eg)
+                steps.append(t - cur)
+                flips.append(-1.0 if eg else 1.0)
+            if axis is not None:
+                state, cur = apply_pulse(state, axis), t
+        starts.append(m)
+        heads.append(state)
+    starts = np.array(starts)
+    ee0, gg0, ge0, eg0 = np.array(heads).T
+    columns = (eg0 != 0.0).astype(int)
+    # column 1 carries conj: its sub-steps run at -delta (conj p(h, delta) =
+    # p(h, -delta) exactly), its turns at -phase
+    _, hops = step_multipliers(np.array(steps)[:, None], np.outer(flips, deltas), gamma)
+    hops = np.multiply.reduceat(hops, firsts, axis=0)
+    turns = np.exp(1j * np.outer((np.diff(starts) - 1) * (1 - 2 * columns[:-1]), phase))
+    v = np.ones((starts.size, deltas.size), complex)  # nonzero entry of M_d e_ge / |p_d|^k
+    np.cumprod(turns * hops / scales, axis=0, out=v[1:])
+    v *= (ge0 + eg0)[:, None]
+    coef = np.where(columns[:, None], v.conj(), v) * np.exp(-1j * np.outer(starts, phase))
+    at = np.repeat(np.arange(starts.size), np.diff(starts, append=n + 1))
+    x = (np.arange(n + 1) - starts[at]) * log_decay
+    ee, gg = ee0[at] * np.exp(x), gg0[at] - ee0[at] * np.expm1(x)
     return GridState(ee, gg, starts, columns, coef, np.log(scales), phase)
 
 

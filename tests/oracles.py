@@ -8,9 +8,13 @@ each grid interval is split at its pulses here. Only two tolerances are
 shared: TIME_SNAP, because a pulse that close to a grid point must coincide
 with it in both, and window_tol, so both accept the same window end.
 
-``per_detuning_average`` is the one exception: it checks only how a
-detuning average mixes, so it runs the single-detuning pipeline once per
-detuning and averages the spectra.
+Two checks share the pipeline's maps on purpose. ``per_detuning_average``
+checks only how a detuning average mixes, so it runs the single-detuning
+pipeline once per detuning and averages the spectra.
+``interval_loop_grid_state`` checks only the bookkeeping of
+``dynamics.grid_state``: it is the per-interval loop grid_state replaced,
+with ``step_multipliers`` and ``apply_pulse`` applied to the whole state
+(ee, gg, ge, eg) one sub-step and one pulse at a time, on (D,) arrays.
 """
 
 import math
@@ -20,7 +24,7 @@ import numpy as np
 
 from pulsespec import PulseAxis, accumulate_kernel, spectrum_from_kernel
 from pulsespec.core import window_tol
-from pulsespec.dynamics import TIME_SNAP
+from pulsespec.dynamics import TIME_SNAP, GridState, apply_pulse, step_multipliers
 
 PAULI = {
     PulseAxis.X: np.array([[0, 1], [1, 0]], dtype=complex),
@@ -182,3 +186,69 @@ def per_detuning_average(schedule, params, deltas, weights, omega_grid):
         emission += weight * spec.emission
         direct += weight * spec.direct_absorption
     return emission, direct
+
+
+def _free_step(state, h, deltas, gamma):
+    """One pulse-free step of the state (ee, gg, ge, eg), at one detuning or an array."""
+    ee, gg, ge, eg = state
+    decay, phase = step_multipliers(h, deltas, gamma)
+    return ee * decay, gg + (1.0 - decay) * ee, ge * phase, eg * phase.conjugate()
+
+
+def _advance(state, t0, t1, events, dt, deltas, gamma):
+    """Evolve the state over the grid interval [t0, t1] and the pulses inside it.
+
+    Each pulse in ``events`` that falls in the interval splits it, so the
+    pulse acts at its exact time. Pulses at exactly t0 are excluded, pulses
+    at exactly t1 included; times within TIME_SNAP*dt coincide.
+    """
+    snap = TIME_SNAP * dt
+    cur = t0
+    for ev in events:
+        if ev.time <= t0 + snap or ev.time > t1 + snap:
+            continue
+        if ev.time - cur > snap:
+            state = _free_step(state, ev.time - cur, deltas, gamma)
+        state = apply_pulse(state, ev.axis)
+        cur = ev.time
+    if t1 - cur > snap:
+        state = _free_step(state, t1 - cur, deltas, gamma)
+    return state
+
+
+def interval_loop_grid_state(schedule, params, deltas):
+    """``dynamics.grid_state`` one stretch and one pulsed interval at a time.
+
+    Whole steps act as powers of the one-step factors; each pulsed grid
+    interval goes through one ``_advance`` call for all detunings. The
+    state carried from one stretch to the next is (ee, gg, ge, eg) at its
+    first grid point, with ge and eg the column e_ge of every M_d over
+    |p_d(dt)|^k.
+    """
+    n, dt, gamma = params.n_steps, params.dt, params.gamma
+    deltas = np.array(deltas, dtype=float)
+    grid = params.time_grid()
+    where = np.searchsorted(grid + TIME_SNAP * dt, schedule.times)
+    starts = np.array([0, *np.unique(where[(where > 0) & (where <= n)])])
+    decay, phases = step_multipliers(dt, deltas, gamma)
+    log_decay, scales, phase = math.log(decay), np.abs(phases), np.angle(phases)
+    ee, gg = np.empty(n + 1), np.empty(n + 1)
+    columns = np.empty(starts.size, int)
+    coef = np.empty((starts.size, deltas.size), complex)
+    state = (1.0, 0.0, np.ones(deltas.size, complex), np.zeros(deltas.size, complex))
+    for s, (k, m) in enumerate(zip(starts, [*starts[1:], n + 1])):
+        ee0, gg0, ge0, eg0 = state
+        columns[s] = eg0[0] != 0
+        coef[s] = (eg0.conj() if columns[s] else ge0) * np.exp(-1j * phase * k)
+        j = np.arange(m - k)
+        ee[k:m] = ee0 * np.exp(j * log_decay)
+        gg[k:m] = gg0 - ee0 * np.expm1(j * log_decay)
+        if m > n:
+            break
+        turn = np.exp(1j * phase * (m - 1 - k))
+        inside = schedule.events[np.searchsorted(where, m):
+                                 np.searchsorted(where, m, side="right")]
+        ee1, gg1, ge1, eg1 = _advance((ee[m - 1], gg[m - 1], ge0 * turn, eg0 * turn.conj()),
+                                      grid[m - 1], grid[m], inside, dt, deltas, gamma)
+        state = (ee1, gg1, ge1 / scales, eg1 / scales)
+    return GridState(ee, gg, starts, columns, coef, np.log(scales), phase)

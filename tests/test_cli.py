@@ -68,6 +68,48 @@ def test_sizes_that_overflow_are_a_configuration_error(tmp_path, capsys, sizes):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--delta", "3000"], "|delta|=3000"),  # delta*dt = 3: unchecked, |P| grows to 1e171
+    (["--delta", "1e5"], "|delta|=100000"),  # unchecked, these three give NaN rows
+    (["--gamma", "5000"], "gamma=5000,"),
+    (["--delta", "1e300"], "|delta|=1e+300"),
+    (["--average-deltas=0:0.5,3000:0.5"], "|delta|=3000"),
+])
+def test_unstable_step_is_a_configuration_error(tmp_path, capsys, flags, named):
+    out = tmp_path / "x.csv"
+    assert main(["--protocol", "none", "--t-end", "1", *flags, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: dt=0.001 is outside the RK4 stability")
+    assert named in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unstable_detuning_of_weight_zero_is_not_computed(tmp_path):
+    out = tmp_path / "x.csv"
+    argv = ["--protocol", "none", "--t-end", "1", "--dt", "0.01",
+            "--average-deltas=0:1,3000:0", "-o", str(out)]
+    assert main(argv) == 0 and out.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_spectrum_is_a_runtime_error(tmp_path, monkeypatch, capsys, bad):
+    def broken(kernel, omega):
+        spec = spectrum_from_kernel(kernel, omega)
+        emission = spec.emission.copy()
+        emission[7] = bad
+        return SpectrumResult(spec.omega, emission, spec.direct_absorption,
+                              spec.direct_absorption - emission, spec.params,
+                              spec.schedule_digest, kernel)
+
+    monkeypatch.setattr(cli, "spectrum_from_kernel", broken)
+    out = tmp_path / "x.csv"
+    assert main(["--protocol", "none", "--t-end", "1", "--dt", "0.01",
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: the spectrum is not finite; nothing written\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("exc", [
     MemoryError(),
     MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000001,)"),

@@ -27,8 +27,8 @@ from pulsespec import (
 from pulsespec.spectra import fft_length
 from pulsespec.dynamics import step_multipliers
 
-from oracles import (correlator_row, evolve_operator, op, per_detuning_average,
-                     row_loop_kernel)
+from oracles import (correlator_row, evolve_operator, interval_loop_grid_state, op,
+                     per_detuning_average, row_loop_kernel)
 
 
 def rho_at(traj, k):
@@ -375,6 +375,34 @@ class TestFftKernelOracles:
         assert kern.g1[0].real > 0
 
 
+class TestExpPowers:
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 15, 16, 17, 2400, 16000, 100_000])
+    def test_within_4_ulp_of_exp_where_the_exponents_are_exact(self, n):
+        # dyadic z: every j*z is exact, so np.exp(j*z) carries no argument
+        # rounding and the gap is the tables' own
+        z = np.array([-3 / 1024 + 5j / 2048, -1 / 4096 - 7j / 1024, 1j / 256, -1 / 512])
+        got = correlations.exp_powers(z, n)
+        want = np.exp(np.multiply.outer(z, np.arange(n + 1)))
+        assert got.shape == want.shape == (4, n + 1)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 4 * self.EPS
+
+    @pytest.mark.parametrize("n", [2400, 100_000])
+    def test_as_close_to_the_exact_powers_as_exp(self, n):
+        # generic z: both round the exponent, by up to |j z| eps; measured
+        # against long-double powers, the tables add at most 4 ulp
+        z = np.array([np.log(0.999) + 0.0031j, -0.001 - 0.00517j])
+        j = np.arange(n + 1)
+        exact = np.exp(np.multiply.outer(z.astype(np.clongdouble), j.astype(np.longdouble)))
+
+        def err(values):
+            return float(np.max(np.abs(values - exact) / np.abs(exact)))
+
+        got = correlations.exp_powers(z, n)
+        assert err(got) <= err(np.exp(np.multiply.outer(z, j))) + 4 * self.EPS
+
+
 class TestFftLength:
     def test_is_the_next_5_smooth_number(self):
         limit = 20000
@@ -461,20 +489,26 @@ class TestDetuningMixture:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("n_deltas", [1, 2, 9])
-    def test_pulse_maps_run_once_per_interval(self, monkeypatch, n_deltas):
-        # every detuning goes through one _advance call per pulsed interval
-        advance, starts = dynamics._advance, []
-
-        def spy(state, t0, *args):
-            starts.append(t0)
-            return advance(state, t0, *args)
-
-        monkeypatch.setattr(dynamics, "_advance", spy)
-        sched = uhrig_schedule(4, 1.0)  # pulses at 0.0955, 0.345, 0.655, 0.9045
-        params = SimParams(delta=0.5, t_end=1.0, dt=1e-2)
-        deltas = np.linspace(-2.0, 2.0, n_deltas)
-        accumulate_kernel(sched, params, deltas, np.full(n_deltas, 1.0 / n_deltas))
-        assert [round(t / params.dt) for t in starts] == [9, 34, 65, 90]
+    def test_grid_state_matches_the_interval_loop(self, n_deltas):
+        # pxpy-240 at paper resolution; Y and off-grid Z trains; and the
+        # dense run: a Z run on one column, two pulses in one grid interval,
+        # pulses within TIME_SNAP of a grid point and one at T
+        runs = [(periodic_schedule([PulseAxis.X, PulseAxis.Y], 0.01, 240),
+                 SimParams(delta=0.0, t_end=2.4, dt=1e-3)),
+                (periodic_schedule([PulseAxis.Y], 0.0537, 20),
+                 SimParams(delta=0.0, t_end=1.074, dt=1e-3)),
+                (PulseSchedule(tuple(PulseEvent(0.013 + 0.0973 * k, PulseAxis.Z)
+                                     for k in range(1, 11)), window_end=1.0),
+                 SimParams(delta=0.0, t_end=1.0, dt=1e-2)),
+                TestFftKernelOracles.dense_run()]
+        deltas = np.linspace(-3.0, 6.0, n_deltas)
+        for sched, params in runs:
+            got = dynamics.grid_state(sched, params, deltas)
+            want = interval_loop_grid_state(sched, params, deltas)
+            assert np.array_equal(got.starts, want.starts)
+            assert np.array_equal(got.columns, want.columns)
+            for name in ("ee", "gg", "coef", "rate", "phase"):
+                assert np.max(np.abs(getattr(got, name) - getattr(want, name))) < 1e-13
 
     @settings(max_examples=20, deadline=None)
     @given(run=mixtures())

@@ -16,10 +16,11 @@ from pulsespec import (
     periodic_schedule,
     uhrig_schedule,
 )
-from pulsespec.dynamics import _free_step, apply_pulse, step_multipliers
+from pulsespec.dynamics import apply_pulse, stable_step, step_multipliers
 
 from oracles import (
     PAULI,
+    _free_step,
     evolve_operator,
     lindblad_rhs,
     op,
@@ -140,6 +141,31 @@ class TestRK4:
         assert abs(ge * phase - ref[1, 0]) < 1e-15
         assert abs(eg * phase.conjugate() - ref[0, 1]) < 1e-15
         assert_matches_oracle(m, h, delta, gamma)
+
+
+class TestStableStep:
+    def test_returns_the_step_multipliers(self):
+        deltas = np.array([0.0, 2.5, -800.0])
+        for gamma in (2.0, 2700.0):
+            decay, phase = stable_step(1e-3, deltas, gamma)
+            want = step_multipliers(1e-3, deltas, gamma)
+            assert decay == want[0] and np.array_equal(phase, want[1])
+
+    @pytest.mark.parametrize("deltas, gamma, named", [
+        ([0.0, 3000.0], 2.0, "|delta|=3000"),
+        ([1e300], 2.0, "|delta|=1e+300"),
+        ([0.0], 5000.0, "gamma=5000,"),
+        ([0.0], 2800.0, "gamma=2800,"),  # decay 1.02; at gamma*dt = 2.7 it is 0.88
+    ])
+    def test_rejects_steps_that_do_not_contract(self, deltas, gamma, named):
+        with pytest.raises(ValueError, match="outside the RK4 stability region") as info:
+            stable_step(1e-3, deltas, gamma)
+        assert named in str(info.value)
+
+    def test_guards_the_pipeline(self):
+        params = SimParams(delta=3000.0, t_end=1.0, dt=1e-3)
+        with pytest.raises(ValueError, match=r"\|delta\|=3000"):
+            density_trajectory(no_drive_schedule(1.0), params)
 
 
 class TestApplyPulse:
