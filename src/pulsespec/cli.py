@@ -349,7 +349,7 @@ def _write_metadata(path: str, config: RunConfig, spec: SpectrumResult,
     if sum_rule is not None:
         lines.append(f"sum_rule_lhs={sum_rule[0]:.17g}")
         lines.append(f"sum_rule_rhs={sum_rule[1]:.17g}")
-    lines.append("kernel_method=prefix-sums")
+    lines.append("kernel_method=stretch-impulses")
     lines.append("transform_method=chirp-z")
     lines.append(f"warnings={' | '.join(notes)}")
     lines.append(f"n_steps={spec.params.n_steps}")

@@ -173,13 +173,14 @@ class SimParams:
         Mismatched windows are an error. A dt above a tenth of the smallest
         pulse gap only warns: coarse grids are legitimate for bookkeeping
         cross-checks, but production spectra want many steps per interval.
+        Ten steps per gap, up to a relative 1e-9 as ``window_tol``, suffice.
         """
         if abs(schedule.window_end - self.t_end) > window_tol(self.t_end):
             raise ValueError(
                 f"schedule window {schedule.window_end} != t_end {self.t_end}"
             )
         gap = schedule.min_gap()
-        if not self.dt < gap / 10.0:
+        if not self.dt <= gap / 10.0 * (1.0 + 1e-9):
             warnings.warn(
                 f"dt={self.dt} resolves the minimum pulse gap {gap} with "
                 f"fewer than 10 steps; spectra may be inaccurate",

@@ -18,19 +18,25 @@ C1 = rho_ee(t) K and C2 = rho_gg(t) K with
 K(t, theta) = [M(t+theta) M(t)^-1]_ge,ge. Between pulses M is one constant
 coefficient times e^{k(rate + i phase)}, so on the pulse-free stretches the
 t-sum is a difference of prefix sums: with Lambda_c the prefix sum of
-seed / coef over the rows on column c,
+r_c = seed / coef over the rows on column c,
 
     G[j] = e^{j(rate + i phase)} sum_s coef_s (Lambda_c[b_s - j] - Lambda_c[a_s - j])
 
-over the stretches s = [a_s, b_s), c the column of s. Each stretch boundary
-adds one reversed slice of a prefix sum, so the cost is O(S N) for S
-stretches, with no FFT. The decay e^{theta*rate} is an envelope taken out first, so the
-prefix sums stay of the size of the window and long windows keep full
-precision; it comes from two short tables, with no exp per lag (``exp_powers``).
+over the stretches s = [a_s, b_s), c the column of s. Read backwards, that
+is a running sum of the train of boundary terms +-coef_s convolved with r_c.
+Between pulses each seed is a constant plus E_s q^k (q the RK4 decay
+factor), so r_c is a few impulses per stretch through a running sum and
+through y[k] = q y[k - 1] + u[k] (``decay_recurrence``). Both filters commute
+with the convolution, so the kernel convolves the two sparse trains as an
+outer product of their nonzeros and filters once: O(D (S^2 + N)) for D
+detunings and S stretches, a fixed number of passes over the (D, N + 1) lags
+whatever the pulse count. The decay e^{theta*rate} is an envelope taken out
+first, so long windows keep full precision; it comes from two short tables,
+with no exp per lag (``exp_powers``).
 
 The kernel is linear in the correlators, so a detuning ensemble is one
-weighted kernel sum_d w_d G_d: all detunings go through the same slices at
-once, and their kernels are added under their own envelopes; a single
+weighted kernel sum_d w_d G_d: all detunings go through the same impulses
+at once, and their kernels are added under their own envelopes; a single
 detuning is the one-point mixture. The populations, the stretches and their
 columns, and with them G(0), do not depend on the detuning; one
 ``grid_state`` call gives them together with the coefficients of every
@@ -45,7 +51,7 @@ import math
 import numpy as np
 
 from .core import CorrelationKernel, PulseSchedule, SimParams, check_mixture
-from .dynamics import grid_state
+from .dynamics import grid_state, step_multipliers
 
 
 def exp_powers(z: np.ndarray, n: int) -> np.ndarray:
@@ -56,6 +62,29 @@ def exp_powers(z: np.ndarray, n: int) -> np.ndarray:
     return (hi[:, :, None] * lo[:, None, :]).reshape(z.size, b * b)[:, :n + 1]
 
 
+def decay_recurrence(u: np.ndarray, q: float) -> np.ndarray:
+    """y[..., i] = q y[..., i - 1] + u[..., i] along the last axis, from y = 0, for 0 < q < 1.
+
+    In blocks of b steps, q^-b <= e (b >= 1): y is q^i times the cumulative
+    sum of q^-i u in a block, plus q^(i + 1) times the end of the block
+    before. The block ends follow y_end[k] = q^b y_end[k - 1] + (own part),
+    solved by a doubling scan in log2 of the block count passes.
+    """
+    b, size = max(1, int(-1.0 / math.log(q))), u.shape[-1]
+    y = np.zeros((*u.shape[:-1], -(-size // b) * b), np.result_type(u, float))
+    y[..., :size] = u
+    blocks, i = y.reshape(*u.shape[:-1], -1, b), np.arange(b)
+    blocks *= q ** -i
+    np.cumsum(blocks, axis=-1, out=blocks)
+    blocks *= q ** i
+    ends, s = blocks[..., -1].copy(), 1
+    while s < ends.shape[-1]:
+        ends[..., s:] += q ** (b * s) * ends[..., :-s]
+        s *= 2
+    blocks[..., 1:, :] += ends[..., :-1, None] * q ** (i + 1)
+    return y[..., :size]
+
+
 def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
                       deltas: np.ndarray | None = None,
                       weights: np.ndarray | None = None) -> CorrelationKernel:
@@ -63,11 +92,16 @@ def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
 
     G[j] = sum_k w_k C(t_k, theta_j) over the rows k = 0..N-j (the
     integration triangle), with trapezoidal row weights: dt/2 for the rows
-    seeded at t = 0 and t = T, dt for the rest. The sum runs over the
-    stretches of ``grid_state``: one prefix sum per coherence column, then
-    one reversed slice of it per stretch boundary, a single one where the
-    stretches on both sides share the column. G(0) is the direct sum of the
-    weighted populations, so it is real. Repeated runs are bit-identical.
+    seeded at t = 0 and t = T, dt for the rest. Stretch s, with heads E_s
+    and G_s, has the impulses E_s / coef_s at a_s and -E_s q^(b_s - a_s) /
+    coef_s at b_s (decaying) and +-(E_s + G_s) / coef_s (constant); row 0's
+    half weight halves those at row 0 and adds two at row 1 that restore
+    the full weight from there on. Their pairs with the boundary terms are
+    scattered in chunks of O(N), so temporaries stay O(D N). The constant
+    part is summed twice, weighting each pair's rounding by up to T: the
+    error grows as O(S^2 T eps), where prefix sums give O(S T eps). G(0) is
+    the direct sum of the weighted populations, so it is real. Repeated runs
+    are bit-identical.
 
     With ``deltas`` and ``weights`` (a mixture as ``core.check_mixture``
     accepts it) the result is the weighted kernel sum_d w_d G_d of that
@@ -80,33 +114,43 @@ def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
         deltas, weights = [params.delta], [1.0]
     deltas, weights = check_mixture(deltas, weights)
     n, dt = params.n_steps, params.dt
-    w = np.full(n + 1, dt)
-    w[0] = w[-1] = 0.5 * dt
     used = weights > 0
     s = grid_state(schedule, params, deltas[used])
-    seeds = np.stack([w * s.ee, w * s.gg])  # row weights of C1 and C2, any delta
-    # lam[c, d, f, k] = Lambda_c[k + 1] of family f at detuning d; complex
-    # seeds make the products below complex by complex, the fast loop
-    lam = np.zeros((2, s.coef.shape[1], 2, n + 1), complex)
-    rows = seeds.astype(complex)
-    # stretch [a, b) on column c adds coef (Lambda_c[b - j] - Lambda_c[a - j])
-    # to G[j]; the terms of one boundary and column add up to one slice
-    terms = {}
-    for a, b, c, coef in zip(s.starts, [*s.starts[1:], n + 1], s.columns, s.coef):
-        np.multiply(rows[:, a:b], 1.0 / coef[:, None, None], out=lam[c, :, :, a:b])
-        terms[b, c] = terms.get((b, c), 0.0) + coef
-        terms[a, c] = terms.get((a, c), 0.0) - coef
-    for c in set(s.columns):
-        np.cumsum(lam[c], axis=-1, out=lam[c])
-    # rev[..., n - j] = G[j], so the reversed slice Lambda_c[m - j], j < m,
-    # is the forward slice lam[c, ..., :m] added to rev[..., n + 1 - m:]
-    rev = np.zeros(lam.shape[1:], complex)
-    work = np.empty_like(rev)
-    for (m, c), x in terms.items():
-        np.multiply(lam[c, :, :, :m], x[:, None, None], out=work[:, :, :m])
-        rev[:, :, n + 1 - m:] += work[:, :, :m]
-    envelope = weights[used, None] * exp_powers(s.rate + 1j * s.phase, n)
-    g = np.einsum("dj,dfj->fj", envelope, rev[:, :, ::-1])
-    g[:, 0] = seeds.sum(axis=1)
-    return CorrelationKernel(g1=g[0], g2=g[1], params=params,
+    q = step_multipliers(dt, 0.0, params.gamma)[0]
+    a, b = s.starts, np.append(s.starts[1:], n + 1)
+    ue, uc = s.ee[a, None] / s.coef, (s.ee[a] + s.gg[a])[:, None] / s.coef
+    # (boundary term, impulses) at stretch starts, ends and row 1, merged by column and position
+    key = np.concatenate([s.columns, s.columns, [0]]) * (n + 2) + np.concatenate([a, b, [1]])
+    vals = np.concatenate([np.stack([-s.coef, ue, uc], axis=1),
+                           np.stack([s.coef, -ue * q ** (b - a)[:, None], -uc], axis=1),
+                           0.5 * np.stack([0 * ue[:1], q * ue[:1], uc[:1]], axis=1)])
+    vals[0, 1:] *= 0.5
+    order = np.argsort(key, kind="stable")
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    key, vals = key[order][first], np.add.reduceat(vals[order], first, axis=0)
+    d = s.coef.shape[1]
+    acc = np.zeros((2, d, n + 2), complex)  # both impulse trains; slot n + 1 takes the overflow
+    flat, rows, budget = acc.reshape(-1), (n + 2) * np.arange(2 * d)[:, None, None], 4 * (n + 1)
+    for c in (0, 1):
+        on = key // (n + 2) == c
+        # C order, so that the products below ravel without a copy
+        p, x, v = key[on] % (n + 2), vals[on, 0].T.copy(), vals[on, 1:].transpose(1, 2, 0).copy()
+        # the boundary at p[t] reaches the impulses p[:t] at n + 1 - p[t] + p[k];
+        # boundaries [i, j) against impulses [:j] make about budget pairs
+        i = 1
+        while i < p.size:
+            j = min(p.size, max(i + 1, int((i + math.sqrt(i * i + 4 * budget)) / 2)))
+            at = np.minimum(n + 1 - p[i:j, None] + p[:j], n + 1)
+            pairs = x[None, :, i:j, None] * v[:, :, None, :j]
+            np.add.at(flat, (rows + at).ravel(), pairs.ravel())
+            i = j
+    rev_ee = np.cumsum(decay_recurrence(acc[0, :, :n + 1], q), axis=-1)
+    rev_c = np.cumsum(np.cumsum(acc[1, :, :n + 1], axis=-1), axis=-1)
+    envelope = dt * weights[used, None] * exp_powers(s.rate + 1j * s.phase, n)
+    g1 = np.einsum("dj,dj->j", envelope, rev_ee[:, ::-1])
+    g2 = np.einsum("dj,dj->j", envelope, rev_c[:, ::-1]) - g1
+    w = np.full(n + 1, dt)
+    w[0] = w[-1] = 0.5 * dt
+    g1[0], g2[0] = (w * s.ee).sum(), (w * s.gg).sum()
+    return CorrelationKernel(g1=g1, g2=g2, params=params,
                              schedule_digest=schedule.digest())

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import (CorrelationKernel, PulseSchedule, SimParams, SpectrumResult,
                    check_omega_grid)
-from .correlations import accumulate_kernel
+from .correlations import accumulate_kernel, exp_powers
 
 
 def fft_length(n: int) -> int:
@@ -48,19 +48,18 @@ def spectrum_from_kernel(kernel: CorrelationKernel,
     theta. With k*n = (k^2 + n^2 - (k-n)^2)/2 and c_j = e^{-i dw dtheta j^2/2},
     the sum over n of f_n e^{-i omega_k theta_n} is c_k times the convolution
     of f_n e^{-i omega_0 theta_n} c_n with conj(c_j); G1 and G2 share the FFT
-    of the chirp. Net absorption is the exact elementwise difference of the
-    other two columns.
+    of the chirp, the one exp; e^{-i omega_0 theta_n} is ``exp_powers``. Net
+    absorption is the exact elementwise difference of the other two columns.
     """
     omega = check_omega_grid(omega_grid)
-    theta = kernel.theta_grid
-    n, m, dtheta = theta.size, omega.size, kernel.params.dt
+    n, m, dtheta = kernel.theta_grid.size, omega.size, kernel.params.dt
     dw = (omega[-1] - omega[0]) / max(m - 1, 1)
     wq = np.full(n, dtheta)
     wq[0] = wq[-1] = 0.5 * dtheta
     j = np.arange(max(n, m), dtype=float)
     chirp = np.exp(-0.5j * dw * dtheta * (j * j))  # j*j is an exact integer
-    f = np.stack([kernel.g1, kernel.g2]) * (wq * np.exp(-1j * omega[0] * theta)
-                                             * chirp[:n])
+    demod = exp_powers(np.array([-1j * omega[0] * dtheta]), n - 1)[0]
+    f = np.stack([kernel.g1, kernel.g2]) * (wq * demod * chirp[:n])
     size = fft_length(n + m - 1)  # no wrap-around
     h = np.zeros(size, complex)
     h[:m] = chirp[:m].conj()

@@ -8,13 +8,17 @@ each grid interval is split at its pulses here. Only two tolerances are
 shared: TIME_SNAP, because a pulse that close to a grid point must coincide
 with it in both, and window_tol, so both accept the same window end.
 
-Two checks share the pipeline's maps on purpose. ``per_detuning_average``
+Four checks share the pipeline's maps on purpose. ``per_detuning_average``
 checks only how a detuning average mixes, so it runs the single-detuning
 pipeline once per detuning and averages the spectra.
 ``interval_loop_grid_state`` checks only the bookkeeping of
 ``dynamics.grid_state``: it is the per-interval loop grid_state replaced,
 with ``step_multipliers`` and ``apply_pulse`` applied to the whole state
 (ee, gg, ge, eg) one sub-step and one pulse at a time, on (D,) arrays.
+``prefix_sum_kernel`` and ``direct_sum_kernel`` check only how
+``accumulate_kernel`` sums the stretches of ``grid_state``: the first is
+the prefix-sum kernel it replaced, the second the plain triangle sum in
+long double.
 """
 
 import math
@@ -23,8 +27,9 @@ from dataclasses import replace
 import numpy as np
 
 from pulsespec import PulseAxis, accumulate_kernel, spectrum_from_kernel
-from pulsespec.core import window_tol
-from pulsespec.dynamics import TIME_SNAP, GridState, apply_pulse, step_multipliers
+from pulsespec.core import check_mixture, window_tol
+from pulsespec.correlations import exp_powers
+from pulsespec.dynamics import TIME_SNAP, GridState, apply_pulse, grid_state, step_multipliers
 
 PAULI = {
     PulseAxis.X: np.array([[0, 1], [1, 0]], dtype=complex),
@@ -252,3 +257,66 @@ def interval_loop_grid_state(schedule, params, deltas):
                                       grid[m - 1], grid[m], inside, dt, deltas, gamma)
         state = (ee1, gg1, ge1 / scales, eg1 / scales)
     return GridState(ee, gg, starts, columns, coef, np.log(scales), phase)
+
+
+def prefix_sum_kernel(schedule, params, deltas=None, weights=None):
+    """G1, G2 of ``accumulate_kernel`` from per-stretch prefix sums, O(D S N).
+
+    The same stretches, coefficients and envelope, but the t-sum of each
+    stretch s = [a, b) on column c is the difference of two reversed slices
+    of Lambda_c, the prefix sum of seed / coef over the rows on column c:
+    one slice per stretch boundary, one where the stretches on both sides
+    share the column. Its rounding grows only as O(S T eps).
+    """
+    if deltas is None:
+        deltas, weights = [params.delta], [1.0]
+    deltas, weights = check_mixture(deltas, weights)
+    n, dt = params.n_steps, params.dt
+    w = np.full(n + 1, dt)
+    w[0] = w[-1] = 0.5 * dt
+    used = weights > 0
+    s = grid_state(schedule, params, deltas[used])
+    seeds = np.stack([w * s.ee, w * s.gg])
+    # lam[c, d, f, k] = Lambda_c[k + 1] of family f at detuning d
+    lam = np.zeros((2, s.coef.shape[1], 2, n + 1), complex)
+    rows = seeds.astype(complex)
+    terms = {}
+    for a, b, c, coef in zip(s.starts, [*s.starts[1:], n + 1], s.columns, s.coef):
+        np.multiply(rows[:, a:b], 1.0 / coef[:, None, None], out=lam[c, :, :, a:b])
+        terms[b, c] = terms.get((b, c), 0.0) + coef
+        terms[a, c] = terms.get((a, c), 0.0) - coef
+    for c in set(s.columns):
+        np.cumsum(lam[c], axis=-1, out=lam[c])
+    # rev[..., n - j] = G[j]: the reversed slice Lambda_c[m - j], j < m, is
+    # the forward slice lam[c, ..., :m] added to rev[..., n + 1 - m:]
+    rev = np.zeros(lam.shape[1:], complex)
+    for (m, c), x in terms.items():
+        rev[:, :, n + 1 - m:] += lam[c, :, :, :m] * x[:, None, None]
+    envelope = weights[used, None] * exp_powers(s.rate + 1j * s.phase, n)
+    g = np.einsum("dj,dfj->fj", envelope, rev[:, :, ::-1])
+    g[:, 0] = seeds.sum(axis=1)
+    return g[0], g[1]
+
+
+def direct_sum_kernel(schedule, params):
+    """G1, G2 as the O(N^2) triangle sum, every product and sum in long double.
+
+    From ``grid_state``'s populations and maps: row k on column c(k) reaches
+    lag j with K = e^{j z} coef_{s(k + j)} / coef_{s(k)} when c(k + j) = c(k),
+    and zero otherwise, so G[j] = e^{j z} sum_c sum_k a_c[k] b_c[k + j] with
+    a_c = w seed / coef and b_c = coef on the rows of column c. It checks only
+    how the kernel sums, to about 1e-19 where doubles give 1e-16.
+    """
+    n, dt = params.n_steps, params.dt
+    s = grid_state(schedule, params)
+    at = np.repeat(np.arange(s.starts.size), np.diff(s.starts, append=n + 1))
+    coef, col = s.coef[at, 0].astype(np.clongdouble), s.columns[at]
+    w = np.full(n + 1, dt, dtype=np.longdouble)
+    w[0] = w[-1] = w[0] / 2
+    seeds = w * np.stack([s.ee, s.gg]).astype(np.longdouble) / coef
+    g = np.zeros((2, n + 1), np.clongdouble)
+    for c in (0, 1):
+        a, b = np.where(col == c, seeds, 0), np.where(col == c, coef, 0)
+        g += np.array([a[:, :n + 1 - j] @ b[j:] for j in range(n + 1)]).T
+    z = np.longdouble(s.rate[0]) + 1j * np.longdouble(s.phase[0])
+    return g * np.exp(np.arange(n + 1, dtype=np.longdouble) * z)

@@ -307,7 +307,7 @@ def test_meta_round_trip_with_warnings(tmp_path, capsys):
         assert float(meta[key]) == getattr(config, key)
     assert float(meta["t_end"]) == params.t_end
     assert meta["schedule_digest"] == config.build_schedule().digest()
-    assert meta["kernel_method"] == "prefix-sums"
+    assert meta["kernel_method"] == "stretch-impulses"
     assert meta["transform_method"] == "chirp-z"
     assert int(meta["n_steps"]) == params.n_steps == 40
     assert int(meta["n_omega"]) == config.build_omega_grid().size

@@ -1,5 +1,7 @@
 """Core types: schedules and parameters; the oracles' density check and seeds."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from pulsespec import (
     SimParams,
     SpectrumResult,
     default_omega_grid,
+    periodic_schedule,
 )
 from pulsespec.core import check_omega_grid
 
@@ -203,6 +206,21 @@ class TestSimParams:
         s = PulseSchedule(events=(PulseEvent(0.2, PulseAxis.X),), window_end=0.4)
         with pytest.warns(UserWarning, match="fewer than 10 steps"):
             p.check_schedule(s)
+
+    @pytest.mark.parametrize("tau, dt, warns", [
+        (0.01, 1e-3, False),  # the gaps round to 0.009999999999999787: ten steps
+        (0.2, 0.02, False),
+        (0.009, 1e-3, True),
+        (0.0099, 1e-3, True),
+    ])
+    def test_check_schedule_ten_steps_per_gap_are_enough(self, tau, dt, warns):
+        s = periodic_schedule([PulseAxis.X], tau, 240)
+        p = SimParams(delta=0, t_end=s.window_end, dt=dt)
+        # pyproject.toml ignores this warning for the whole suite
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            p.check_schedule(s)
+        assert any("fewer than 10 steps" in str(w.message) for w in seen) == warns
 
 
 class TestResultTypes:

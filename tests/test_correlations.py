@@ -27,8 +27,9 @@ from pulsespec import (
 from pulsespec.spectra import fft_length
 from pulsespec.dynamics import step_multipliers
 
-from oracles import (correlator_row, evolve_operator, interval_loop_grid_state, op,
-                     per_detuning_average, row_loop_kernel)
+from oracles import (correlator_row, direct_sum_kernel, evolve_operator,
+                     interval_loop_grid_state, op, per_detuning_average,
+                     prefix_sum_kernel, row_loop_kernel)
 
 
 def rho_at(traj, k):
@@ -269,8 +270,8 @@ class TestFftKernelOracles:
         assert np.max(np.abs(kern.g2 - g2)) < 1e-12
 
     def test_long_window_z_train_against_direct_sum(self):
-        # gamma*T = 200: without the decay envelope taken out, the prefix
-        # sums would span e^{+-100} and lose every digit
+        # gamma*T = 200: without the decay envelope taken out, the
+        # stretch sums would span e^{+-100} and lose every digit
         delta, gamma, t_end, dt = 3.0, 2.0, 100.0, 0.05
         times = 0.013 + 0.9973 * np.arange(1, 100)  # Z pulses off the grid
         sched = PulseSchedule(
@@ -373,6 +374,103 @@ class TestFftKernelOracles:
         kern = accumulate_kernel(uhrig_schedule(6, 2.0),
                                  SimParams(delta=3.0, t_end=2.0, dt=1e-2))
         assert kern.g1[0].real > 0
+
+
+PAPER_SCHEDULES = {
+    "none": no_drive_schedule(2.4),
+    "px": periodic_schedule([PulseAxis.X], 0.2, 12),
+    "pxpy": periodic_schedule([PulseAxis.X, PulseAxis.Y], 0.2, 12),
+    "pz": periodic_schedule([PulseAxis.Z], 0.2, 12),
+    "uhrig": uhrig_schedule(12, 2.4),
+}
+#: the nine-detuning mixture of the benchmark's detuning averages, about 0
+NINE_OFFSETS = np.array([-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
+NINE_WEIGHTS = np.array([0.04, 0.08, 0.12, 0.16, 0.2, 0.16, 0.12, 0.08, 0.04])
+
+
+class TestAgainstPrefixSums:
+    """The impulse kernel against the per-stretch prefix sums it replaced."""
+
+    @staticmethod
+    def check(sched, params, deltas=None, weights=None):
+        kern = accumulate_kernel(sched, params, deltas, weights)
+        for got, want in zip((kern.g1, kern.g2),
+                             prefix_sum_kernel(sched, params, deltas, weights)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("delta", [0.0, 3.0])
+    @pytest.mark.parametrize("protocol", sorted(PAPER_SCHEDULES))
+    def test_paper_protocols(self, protocol, delta):
+        self.check(PAPER_SCHEDULES[protocol],
+                   SimParams(delta=delta, gamma=2.0, t_end=2.4, dt=1e-3))
+
+    def test_uhrig_24_over_a_long_window(self):
+        self.check(uhrig_schedule(24, 16.0),
+                   SimParams(delta=2.0, gamma=2.0, t_end=16.0, dt=1e-3))
+
+    def test_steps_longer_than_the_decay_time(self):
+        # gamma dt = 1.5: the recurrence runs in blocks of one step, 2401 of them
+        self.check(uhrig_schedule(12, 2.4),
+                   SimParams(delta=3.0, gamma=1500.0, t_end=2.4, dt=1e-3))
+
+    @pytest.mark.parametrize("centre", [0.0, 3.0, 6.0])
+    @pytest.mark.parametrize("protocol", ["pz", "uhrig"])
+    def test_nine_detuning_mixtures(self, protocol, centre):
+        self.check(PAPER_SCHEDULES[protocol],
+                   SimParams(delta=0.0, gamma=2.0, t_end=2.4, dt=1e-3),
+                   centre + NINE_OFFSETS, NINE_WEIGHTS)
+
+    def test_dense_run(self):
+        self.check(*TestFftKernelOracles.dense_run())
+
+    @pytest.mark.parametrize("delta", [0.0, 3.0])
+    def test_dense_xy_train_against_long_double(self, delta):
+        # pxpy-240 with tau = 10 dt: 241 stretches, a column switch at each.
+        # Every pair (boundary term, impulse) is rounded once, to eps of
+        # its O(1) size, and the constant part then summed twice, weighting
+        # that error by up to T. With O(S^2) pairs the kernel's error grows
+        # as S^2 T eps (about 3e-11 here), where the prefix sums round each
+        # of their O(S) slices once and stay at S T eps.
+        sched = periodic_schedule([PulseAxis.X, PulseAxis.Y], 0.01, 240)
+        params = SimParams(delta=delta, gamma=2.0, t_end=2.4, dt=1e-3)
+        n_stretches = dynamics.grid_state(sched, params).starts.size
+        assert n_stretches == 241
+        eps, t_end = np.finfo(float).eps, params.t_end
+        exact = direct_sum_kernel(sched, params)
+        kern = accumulate_kernel(sched, params)
+        for got, want in zip((kern.g1, kern.g2), exact):
+            assert np.max(np.abs(got - want)) <= n_stretches ** 2 * t_end * eps
+        for got, want in zip(prefix_sum_kernel(sched, params), exact):
+            assert np.max(np.abs(got - want)) <= n_stretches * t_end * eps
+
+
+class TestDecayRecurrence:
+    @staticmethod
+    def loop(u, q):
+        y = np.zeros_like(u)
+        prev = np.zeros(u.shape[:-1], u.dtype)
+        for i in range(u.shape[-1]):
+            y[..., i] = prev = q * prev + u[..., i]
+        return y
+
+    @pytest.mark.parametrize("gamma_dt, size, rows", [
+        (1e-3, 700, ()),      # one block of 1000 steps, partly filled
+        (0.1, 2001, ()),      # gamma T = 200: 201 blocks of 10 steps
+        (1.5, 300, ()),       # q = 0.27 < 1/e: blocks of one step
+        (2.78, 500, ()),      # at the edge of the RK4 region q nears 1 again
+        (0.01, 1234, (3,)),   # complex rows
+    ])
+    def test_matches_the_loop(self, gamma_dt, size, rows):
+        q = step_multipliers(gamma_dt, 0.0, 1.0)[0]
+        assert 0.0 < q < 1.0
+        rng = np.random.default_rng(7)
+        u = rng.normal(size=(*rows, size))
+        u[..., rng.integers(0, size, 5)] += 50.0  # impulses, as the kernel drives it
+        if rows:
+            u = u + 1j * rng.normal(size=u.shape)
+        got, want = correlations.decay_recurrence(u, q), self.loop(u, q)
+        assert got.shape == u.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestExpPowers:
