@@ -65,12 +65,13 @@ def exp_powers(z: np.ndarray, n: int) -> np.ndarray:
 def decay_recurrence(u: np.ndarray, q: float) -> np.ndarray:
     """y[..., i] = q y[..., i - 1] + u[..., i] along the last axis, from y = 0, for 0 < q < 1.
 
-    In blocks of b steps, q^-b <= e (b >= 1): y is q^i times the cumulative
-    sum of q^-i u in a block, plus q^(i + 1) times the end of the block
-    before. The block ends follow y_end[k] = q^b y_end[k - 1] + (own part),
+    In blocks of b steps, q^-b <= e (1 <= b <= size): y is q^i times the
+    cumulative sum of q^-i u in a block, plus q^(i + 1) times the end of the
+    block before. The block ends follow y_end[k] = q^b y_end[k - 1] + (own part),
     solved by a doubling scan in log2 of the block count passes.
     """
-    b, size = max(1, int(-1.0 / math.log(q))), u.shape[-1]
+    size = u.shape[-1]
+    b = max(1, min(size, int(-1.0 / math.log(q))))
     y = np.zeros((*u.shape[:-1], -(-size // b) * b), np.result_type(u, float))
     y[..., :size] = u
     blocks, i = y.reshape(*u.shape[:-1], -1, b), np.arange(b)

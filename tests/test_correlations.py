@@ -408,6 +408,10 @@ class TestAgainstPrefixSums:
         self.check(uhrig_schedule(24, 16.0),
                    SimParams(delta=2.0, gamma=2.0, t_end=16.0, dt=1e-3))
 
+    def test_decay_time_far_beyond_the_window(self):
+        self.check(uhrig_schedule(4, 1.0),
+                   SimParams(delta=3.0, gamma=1e-9, t_end=1.0, dt=1e-3))
+
     def test_steps_longer_than_the_decay_time(self):
         # gamma dt = 1.5: the recurrence runs in blocks of one step, 2401 of them
         self.check(uhrig_schedule(12, 2.4),
@@ -455,6 +459,7 @@ class TestDecayRecurrence:
 
     @pytest.mark.parametrize("gamma_dt, size, rows", [
         (1e-3, 700, ()),      # one block of 1000 steps, partly filled
+        (1e-12, 50, ()),      # q^-b <= e holds for b = 1e12: one block of 50
         (0.1, 2001, ()),      # gamma T = 200: 201 blocks of 10 steps
         (1.5, 300, ()),       # q = 0.27 < 1/e: blocks of one step
         (2.78, 500, ()),      # at the edge of the RK4 region q nears 1 again
