@@ -1,13 +1,14 @@
 """Batch front-end: configure a run, execute the pipeline, write results.
 
 Configuration comes from command-line flags, optionally layered on top of a
-plain ``key=value`` file (``#`` comments allowed); flags win. Results go to
-a CSV (one row per frequency) with a ``<output>.meta`` sidecar recording
-every resolved parameter, the emission sum rule (single runs and detuning
-averages alike), the kernel and transform methods, the warnings raised, the
-problem sizes and the package and numpy versions, and optionally a gnuplot
-script. ``python -m pulsespec`` and ``python -m pulsespec.cli`` run the same
-front-end.
+plain ``key=value`` file (a ``#`` at the start of a line or after whitespace
+starts a comment); flags win. Results go to a CSV (one row per frequency)
+with a ``<output>.meta`` sidecar recording every resolved parameter, the
+emission sum rule (single runs and detuning averages alike), the kernel and
+transform methods, the warnings raised, the problem sizes and the package
+and numpy versions, and optionally a gnuplot script, which may not share a
+path with either. ``python -m pulsespec`` and ``python -m pulsespec.cli``
+run the same front-end.
 
 Every CSV value is written exactly as ``"%.11e" % x`` writes it. The text
 of the whole table is built in a few numpy passes (``_format_e11``); ``%``
@@ -21,9 +22,10 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,6 +94,9 @@ class RunConfig:
             )
         if not self.output_path:
             raise ConfigError("output: required")
+        if self.plot_script and os.path.realpath(self.plot_script) in {
+                os.path.realpath(self.output_path + end) for end in ("", ".meta")}:
+            raise ConfigError("plot_script: must differ from the output CSV and its .meta")
         if self.average_deltas is not None:
             if self.delta is not None:
                 raise ConfigError("delta: not applicable with average_deltas")
@@ -101,10 +106,12 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"average_deltas: {exc}") from None
         try:
-            schedule, params = self.build_schedule(), self.build_params()
+            schedule = self.build_schedule()
+            params = self.build_params(schedule.window_end)
             weighted = self.average_deltas or [(params.delta, 1.0)]
             stable_step(params.dt, [d for d, w in weighted if w > 0], params.gamma)
-            return schedule, params, self.build_omega_grid()
+            return schedule, params, default_omega_grid(self.omega_min, self.omega_max,
+                                                        self.omega_step)
         except (ValueError, ArithmeticError) as exc:
             raise ConfigError(str(exc)) from None
 
@@ -115,18 +122,13 @@ class RunConfig:
             return uhrig_schedule(self.n_pulses, self.t_end)
         return periodic_schedule(_PERIODIC[self.protocol], self.tau, self.n_pulses)
 
-    def build_params(self) -> SimParams:
-        schedule_end = (self.n_pulses * self.tau
-                        if self.protocol in _PERIODIC else self.t_end)
+    def build_params(self, t_end: float) -> SimParams:
         return SimParams(
             delta=0.0 if self.delta is None else self.delta,
             gamma=self.gamma,
-            t_end=schedule_end,
+            t_end=t_end,
             dt=self.dt,
         )
-
-    def build_omega_grid(self) -> np.ndarray:
-        return default_omega_grid(self.omega_min, self.omega_max, self.omega_step)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,7 +204,8 @@ def _read_config_file(path: str, keys: dict) -> dict:
     values = {}
     with f:
         for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
+            # a '#' at the start of a line or after whitespace starts a comment
+            line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -223,7 +226,7 @@ def _read_config_file(path: str, keys: dict) -> dict:
 
 
 def parse_config(args: list[str], config_file: str | None = None) -> RunConfig:
-    """Resolve a RunConfig from flags layered over an optional config file."""
+    """Resolve, not validate, a RunConfig from flags over an optional config file."""
     ns = _build_parser().parse_args(args)
     keys = _config_keys()
     path = ns.config or config_file
@@ -244,7 +247,6 @@ def parse_config(args: list[str], config_file: str | None = None) -> RunConfig:
                          output_path=merged["output_path"])
     for key, value in merged.items():
         setattr(defaults, key, value)
-    defaults.validate()
     return defaults
 
 
@@ -398,7 +400,7 @@ def _check_writable(paths: list[str]) -> None:
 def run(config: RunConfig) -> SpectrumResult:
     """Execute the pipeline and write the outputs; warnings go to stderr and .meta.
 
-    Every output path is checked for writing before anything is computed.
+    The configuration is validated and each output path checked before computing.
     """
     schedule, params, omega = config.validate()
     outputs = [config.output_path, config.output_path + ".meta"]

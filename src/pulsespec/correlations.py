@@ -51,7 +51,7 @@ import math
 import numpy as np
 
 from .core import CorrelationKernel, PulseSchedule, SimParams, check_mixture
-from .dynamics import grid_state, step_multipliers
+from .dynamics import grid_state
 
 
 def exp_powers(z: np.ndarray, n: int) -> np.ndarray:
@@ -101,8 +101,9 @@ def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
     scattered in chunks of O(N), so temporaries stay O(D N). The constant
     part is summed twice, weighting each pair's rounding by up to T: the
     error grows as O(S^2 T eps), where prefix sums give O(S T eps). G(0) is
-    the direct sum of the weighted populations, so it is real. Repeated runs
-    are bit-identical.
+    real, from the heads: the L_s rows of stretch s sum ee to E_s expm1(L_s ln q)
+    / expm1(ln q) and ee + gg to L_s (E_s + G_s). As at every lag, G2 is exact
+    to eps of G1 + G2, not of itself. Repeated runs are bit-identical.
 
     With ``deltas`` and ``weights`` (a mixture as ``core.check_mixture``
     accepts it) the result is the weighted kernel sum_d w_d G_d of that
@@ -114,12 +115,10 @@ def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
     if deltas is None:
         deltas, weights = [params.delta], [1.0]
     deltas, weights = check_mixture(deltas, weights)
-    n, dt = params.n_steps, params.dt
-    used = weights > 0
+    n, dt, used = params.n_steps, params.dt, weights > 0
     s = grid_state(schedule, params, deltas[used])
-    q = step_multipliers(dt, 0.0, params.gamma)[0]
-    a, b = s.starts, np.append(s.starts[1:], n + 1)
-    ue, uc = s.ee[a, None] / s.coef, (s.ee[a] + s.gg[a])[:, None] / s.coef
+    q, a, b = s.decay, s.starts, np.append(s.starts[1:], n + 1)
+    ue, uc = s.ee[:, None] / s.coef, (s.ee + s.gg)[:, None] / s.coef
     # (boundary term, impulses) at stretch starts, ends and row 1, merged by column and position
     key = np.concatenate([s.columns, s.columns, [0]]) * (n + 2) + np.concatenate([a, b, [1]])
     vals = np.concatenate([np.stack([-s.coef, ue, uc], axis=1),
@@ -150,8 +149,11 @@ def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
     envelope = dt * weights[used, None] * exp_powers(s.rate + 1j * s.phase, n)
     g1 = np.einsum("dj,dj->j", envelope, rev_ee[:, ::-1])
     g2 = np.einsum("dj,dj->j", envelope, rev_c[:, ::-1]) - g1
-    w = np.full(n + 1, dt)
-    w[0] = w[-1] = 0.5 * dt
-    g1[0], g2[0] = (w * s.ee).sum(), (w * s.gg).sum()
+    # G(0): stretch sums of ee = E q^j and of ee + gg = E + G; rows 0 and n at half weight
+    x = math.log(q)
+    ee_sum = s.ee @ np.expm1((b - a) * x) / math.expm1(x)
+    fall = s.ee[-1] * math.expm1((n - a[-1]) * x)  # ee at row n less its head
+    g1[0] = dt * (ee_sum - 0.5 * (s.ee[0] + s.ee[-1] + fall))
+    g2[0] = dt * ((s.ee + s.gg) @ (b - a) - ee_sum - 0.5 * (s.gg[0] + s.gg[-1] - fall))
     return CorrelationKernel(g1=g1, g2=g2, params=params,
                              schedule_digest=schedule.digest())

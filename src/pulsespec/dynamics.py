@@ -82,24 +82,25 @@ def stable_step(dt: float, deltas, gamma: float) -> tuple[float, np.ndarray]:
 
 
 class GridState(NamedTuple):
-    """Populations on the grid t_k = k*dt and coherence maps M_d by stretches.
+    """Populations and coherence maps M_d, by pulse-free stretches.
 
-    From the excited start the coherences of rho stay zero. M(t) of [0, t]
-    acts on (ge, eg) and is monomial: free steps multiply ge by the phase p
-    and eg by conj(p), X and Y pulses swap the pair (Y with a sign), Z
-    negates both. The populations ``ee``, ``gg`` do not depend on the
-    detuning and are stored on the grid. The grid intervals that hold
-    pulses cut the grid points into S stretches; stretch s runs from
-    ``starts[s]`` up to the next start (the last one to t_N). With p_d(dt) =
-    e^{rate[d] + i phase[d]}, the ge row of M_d(t_k) on stretch s has one
-    nonzero entry, in column ``columns[s]`` (0 for ge, 1 for eg):
-    e^{k (rate[d] + i phase[d])} coef[s, d], with |coef| near one.
-    ``starts`` and ``columns`` do not depend on the detuning either;
-    ``coef`` has one column, ``rate`` and ``phase`` one entry per detuning.
+    The grid intervals that hold pulses cut the grid points t_k = k*dt into S
+    stretches, stretch s from ``starts[s]`` up to the next start (the last
+    through t_N). Its row starts[s] + j holds ee = E q^j and gg = G + E (1 - q^j),
+    with the heads E = ``ee[s]``, G = ``gg[s]`` and the RK4 population factor
+    q = ``decay``. From the excited start the coherences of rho stay zero.
+    M(t) of [0, t] acts on (ge, eg) and is monomial: free steps multiply ge by
+    the phase p and eg by conj(p), X and Y pulses swap the pair (Y with a
+    sign), Z negates both. With p_d(dt) = e^{rate[d] + i phase[d]}, the ge row
+    of M_d(t_k) on stretch s has one nonzero entry, in column ``columns[s]``
+    (0 for ge, 1 for eg): e^{k (rate[d] + i phase[d])} coef[s, d], |coef| near
+    one. Only ``coef`` (a column per detuning), ``rate`` and ``phase`` depend
+    on the detuning; no field grows with the step count.
     """
 
     ee: np.ndarray
     gg: np.ndarray
+    decay: float
     starts: np.ndarray
     columns: np.ndarray
     coef: np.ndarray
@@ -115,8 +116,8 @@ def grid_state(schedule: PulseSchedule, params: SimParams,
     the populations and, as a signed unit (ge, eg), the column and sign of M
     through ``apply_pulse``. Then one ``step_multipliers`` call covers all
     sub-steps and detunings, one cumprod chains the stretches [k, m) by
-    their interval products times e^{i phase (m - 1 - k)} / |p_d(dt)|, and
-    one exp/expm1 gives the populations on the grid.
+    their interval products times e^{i phase (m - 1 - k)} / |p_d(dt)|.
+    The populations stay per stretch, as heads.
     """
     n, dt, gamma = params.n_steps, params.dt, params.gamma
     snap = TIME_SNAP * dt
@@ -158,10 +159,7 @@ def grid_state(schedule: PulseSchedule, params: SimParams,
     np.cumprod(turns * hops / scales, axis=0, out=v[1:])
     v *= (ge0 + eg0)[:, None]
     coef = np.where(columns[:, None], v.conj(), v) * np.exp(-1j * np.outer(starts, phase))
-    at = np.repeat(np.arange(starts.size), np.diff(starts, append=n + 1))
-    x = (np.arange(n + 1) - starts[at]) * log_decay
-    ee, gg = ee0[at] * np.exp(x), gg0[at] - ee0[at] * np.expm1(x)
-    return GridState(ee, gg, starts, columns, coef, np.log(scales), phase)
+    return GridState(ee0, gg0, decay, starts, columns, coef, np.log(scales), phase)
 
 
 class Trajectory(NamedTuple):
@@ -180,8 +178,11 @@ class Trajectory(NamedTuple):
 def density_trajectory(schedule: PulseSchedule, params: SimParams) -> Trajectory:
     """Evolve the emitter density matrix from the occupied excited state.
 
-    Initial condition: ee = 1 and everything else zero at t = 0.
+    Initial condition: ee = 1 and everything else zero at t = 0. One exp/expm1
+    expands the stretch heads of ``grid_state``, with q^j = e^{j ln q}.
     """
     params.check_schedule(schedule)
-    s = grid_state(schedule, params)
-    return Trajectory(params.time_grid(), s.ee, s.gg)
+    s, n = grid_state(schedule, params), params.n_steps
+    at = np.repeat(np.arange(s.starts.size), np.diff(s.starts, append=n + 1))
+    x = (np.arange(n + 1) - s.starts[at]) * math.log(s.decay)
+    return Trajectory(params.time_grid(), s.ee[at] * np.exp(x), s.gg[at] - s.ee[at] * np.expm1(x))

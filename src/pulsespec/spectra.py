@@ -52,7 +52,7 @@ def spectrum_from_kernel(kernel: CorrelationKernel,
     absorption is the exact elementwise difference of the other two columns.
     """
     omega = check_omega_grid(omega_grid)
-    n, m, dtheta = kernel.theta_grid.size, omega.size, kernel.params.dt
+    n, m, dtheta = kernel.g1.size, omega.size, kernel.params.dt
     dw = (omega[-1] - omega[0]) / max(m - 1, 1)
     wq = np.full(n, dtheta)
     wq[0] = wq[-1] = 0.5 * dtheta

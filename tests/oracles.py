@@ -18,7 +18,7 @@ with ``step_multipliers`` and ``apply_pulse`` applied to the whole state
 ``prefix_sum_kernel`` and ``direct_sum_kernel`` check only how
 ``accumulate_kernel`` sums the stretches of ``grid_state``: the first is
 the prefix-sum kernel it replaced, the second the plain triangle sum in
-long double.
+long double, both on the grid populations of ``density_trajectory``.
 """
 
 import math
@@ -26,7 +26,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from pulsespec import PulseAxis, accumulate_kernel, spectrum_from_kernel
+from pulsespec import PulseAxis, accumulate_kernel, density_trajectory, spectrum_from_kernel
 from pulsespec.core import check_mixture, window_tol
 from pulsespec.correlations import exp_powers
 from pulsespec.dynamics import TIME_SNAP, GridState, apply_pulse, grid_state, step_multipliers
@@ -228,7 +228,7 @@ def interval_loop_grid_state(schedule, params, deltas):
     interval goes through one ``_advance`` call for all detunings. The
     state carried from one stretch to the next is (ee, gg, ge, eg) at its
     first grid point, with ge and eg the column e_ge of every M_d over
-    |p_d(dt)|^k.
+    |p_d(dt)|^k; its populations are the stretch heads.
     """
     n, dt, gamma = params.n_steps, params.dt, params.gamma
     deltas = np.array(deltas, dtype=float)
@@ -237,26 +237,25 @@ def interval_loop_grid_state(schedule, params, deltas):
     starts = np.array([0, *np.unique(where[(where > 0) & (where <= n)])])
     decay, phases = step_multipliers(dt, deltas, gamma)
     log_decay, scales, phase = math.log(decay), np.abs(phases), np.angle(phases)
-    ee, gg = np.empty(n + 1), np.empty(n + 1)
+    ee, gg = np.empty(starts.size), np.empty(starts.size)
     columns = np.empty(starts.size, int)
     coef = np.empty((starts.size, deltas.size), complex)
     state = (1.0, 0.0, np.ones(deltas.size, complex), np.zeros(deltas.size, complex))
     for s, (k, m) in enumerate(zip(starts, [*starts[1:], n + 1])):
-        ee0, gg0, ge0, eg0 = state
+        ee[s], gg[s], ge0, eg0 = state
         columns[s] = eg0[0] != 0
         coef[s] = (eg0.conj() if columns[s] else ge0) * np.exp(-1j * phase * k)
-        j = np.arange(m - k)
-        ee[k:m] = ee0 * np.exp(j * log_decay)
-        gg[k:m] = gg0 - ee0 * np.expm1(j * log_decay)
         if m > n:
             break
+        x = (m - 1 - k) * log_decay
         turn = np.exp(1j * phase * (m - 1 - k))
         inside = schedule.events[np.searchsorted(where, m):
                                  np.searchsorted(where, m, side="right")]
-        ee1, gg1, ge1, eg1 = _advance((ee[m - 1], gg[m - 1], ge0 * turn, eg0 * turn.conj()),
+        ee1, gg1, ge1, eg1 = _advance((ee[s] * np.exp(x), gg[s] - ee[s] * np.expm1(x),
+                                       ge0 * turn, eg0 * turn.conj()),
                                       grid[m - 1], grid[m], inside, dt, deltas, gamma)
         state = (ee1, gg1, ge1 / scales, eg1 / scales)
-    return GridState(ee, gg, starts, columns, coef, np.log(scales), phase)
+    return GridState(ee, gg, decay, starts, columns, coef, np.log(scales), phase)
 
 
 def prefix_sum_kernel(schedule, params, deltas=None, weights=None):
@@ -276,7 +275,8 @@ def prefix_sum_kernel(schedule, params, deltas=None, weights=None):
     w[0] = w[-1] = 0.5 * dt
     used = weights > 0
     s = grid_state(schedule, params, deltas[used])
-    seeds = np.stack([w * s.ee, w * s.gg])
+    traj = density_trajectory(schedule, params)
+    seeds = np.stack([w * traj.ee, w * traj.gg])
     # lam[c, d, f, k] = Lambda_c[k + 1] of family f at detuning d
     lam = np.zeros((2, s.coef.shape[1], 2, n + 1), complex)
     rows = seeds.astype(complex)
@@ -301,9 +301,10 @@ def prefix_sum_kernel(schedule, params, deltas=None, weights=None):
 def direct_sum_kernel(schedule, params):
     """G1, G2 as the O(N^2) triangle sum, every product and sum in long double.
 
-    From ``grid_state``'s populations and maps: row k on column c(k) reaches
-    lag j with K = e^{j z} coef_{s(k + j)} / coef_{s(k)} when c(k + j) = c(k),
-    and zero otherwise, so G[j] = e^{j z} sum_c sum_k a_c[k] b_c[k + j] with
+    From the populations of ``density_trajectory`` and the maps of
+    ``grid_state``: row k on column c(k) reaches lag j with K = e^{j z}
+    coef_{s(k + j)} / coef_{s(k)} when c(k + j) = c(k), and zero
+    otherwise, so G[j] = e^{j z} sum_c sum_k a_c[k] b_c[k + j] with
     a_c = w seed / coef and b_c = coef on the rows of column c. It checks only
     how the kernel sums, to about 1e-19 where doubles give 1e-16.
     """
@@ -313,7 +314,8 @@ def direct_sum_kernel(schedule, params):
     coef, col = s.coef[at, 0].astype(np.clongdouble), s.columns[at]
     w = np.full(n + 1, dt, dtype=np.longdouble)
     w[0] = w[-1] = w[0] / 2
-    seeds = w * np.stack([s.ee, s.gg]).astype(np.longdouble) / coef
+    traj = density_trajectory(schedule, params)
+    seeds = w * np.stack([traj.ee, traj.gg]).astype(np.longdouble) / coef
     g = np.zeros((2, n + 1), np.clongdouble)
     for c in (0, 1):
         a, b = np.where(col == c, seeds, 0), np.where(col == c, coef, 0)

@@ -191,6 +191,28 @@ def test_config_comments_and_output_key(tmp_path):
     assert config.output_path == "run.csv"
 
 
+def test_hash_inside_a_config_value_is_kept(tmp_path, monkeypatch):
+    # a '#' starts a comment only at the start of a line or after whitespace
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "protocol=none\nt_end=1\ndt=0.01 # coarse\n"
+                                 "output=run#1.csv\n")
+    assert parse_config(["--config", cfg]).output_path == "run#1.csv"
+    assert main(["--config", cfg]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run#1.csv", "run#1.csv.meta",
+                                                          "run.cfg"]
+
+
+@pytest.mark.parametrize("plot", ["a.csv", "./a.csv", "a.csv.meta"])
+def test_plot_script_on_an_output_path_is_a_configuration_error(tmp_path, monkeypatch,
+                                                                capsys, plot):
+    monkeypatch.chdir(tmp_path)
+    argv = ["--protocol", "none", "--t-end", "1", "--dt", "0.01", "-o", "a.csv",
+            "--plot-script", plot]
+    assert main(argv) == 1
+    assert "configuration error: plot_script" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("line, message", [
     ("colour=blue", "unknown key 'colour'"),
     ("delta=fast", "delta: cannot parse 'fast'"),
@@ -300,17 +322,17 @@ def test_meta_round_trip_with_warnings(tmp_path, capsys):
     assert list(meta) == META_KEYS
 
     config = parse_config(argv)
-    params = config.build_params()
+    schedule, params, omega = config.validate()
     assert meta["protocol"] == "uhrig" and meta["observable"] == "both"
     assert int(meta["n_pulses"]) == 4 and meta["tau"] == ""
     for key in ("delta", "gamma", "dt", "omega_min", "omega_max", "omega_step"):
         assert float(meta[key]) == getattr(config, key)
     assert float(meta["t_end"]) == params.t_end
-    assert meta["schedule_digest"] == config.build_schedule().digest()
+    assert meta["schedule_digest"] == schedule.digest()
     assert meta["kernel_method"] == "stretch-impulses"
     assert meta["transform_method"] == "chirp-z"
     assert int(meta["n_steps"]) == params.n_steps == 40
-    assert int(meta["n_omega"]) == config.build_omega_grid().size
+    assert int(meta["n_omega"]) == omega.size
     assert meta["n_deltas"] == "1"
     assert meta["pulsespec_version"] == pulsespec.__version__
     assert meta["numpy_version"] == np.__version__
@@ -324,7 +346,7 @@ def test_meta_round_trip_with_warnings(tmp_path, capsys):
 
     rows = out.read_text().splitlines()
     assert rows[0] == CSV_HEADER
-    assert len(rows) == 1 + config.build_omega_grid().size
+    assert len(rows) == 1 + omega.size
 
 
 AVERAGE = ["--protocol", "pz", "--n-pulses", "4", "--tau", "0.25", "--dt", "0.01",
@@ -342,10 +364,9 @@ def test_meta_of_a_detuning_average(tmp_path, capsys):
     assert (meta["n_steps"], meta["n_omega"]) == ("100", "3201")
 
     # the sum rule of the mixture: its averaged spectrum against its G1(0)
-    config = parse_config([*AVERAGE, "-o", str(out)])
-    params = config.build_params()
-    kern = accumulate_kernel(config.build_schedule(), params, [0.0, 1.0], [0.5, 0.5])
-    spec = spectrum_from_kernel(kern, config.build_omega_grid())
+    schedule, params, omega = parse_config([*AVERAGE, "-o", str(out)]).validate()
+    kern = accumulate_kernel(schedule, params, [0.0, 1.0], [0.5, 0.5])
+    spec = spectrum_from_kernel(kern, omega)
     lhs, rhs = float(meta["sum_rule_lhs"]), float(meta["sum_rule_rhs"])
     assert (lhs, rhs) == emission_sum_rule(spec)
     note = f"emission sum rule off by {abs(lhs / rhs - 1):.1%}"
@@ -369,17 +390,17 @@ def test_detuning_average_builds_one_kernel(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("average", [False, True])
-def test_run_inputs_are_built_twice_per_main(tmp_path, monkeypatch, average):
-    # once by parse_config's validation, once by run, which computes with them
-    builds = ("build_schedule", "build_params", "build_omega_grid")
+def test_run_inputs_are_built_once_per_main(tmp_path, monkeypatch, average):
+    # by run's validation, which hands them on to the computation
+    builds = ("build_schedule", "build_params")
     calls = []
 
     def counted(name):
         build = getattr(cli.RunConfig, name)
 
-        def counting(self):
+        def counting(self, *args):
             calls.append(name)
-            return build(self)
+            return build(self, *args)
         return counting
 
     for name in builds:
@@ -387,7 +408,7 @@ def test_run_inputs_are_built_twice_per_main(tmp_path, monkeypatch, average):
     argv = AVERAGE if average else ["--protocol", "uhrig", "--n-pulses", "4",
                                     "--t-end", "0.4", "--dt", "0.01"]
     assert main([*argv, "-o", str(tmp_path / "a.csv")]) == 0
-    assert sorted(calls) == sorted(2 * builds)
+    assert sorted(calls) == sorted(builds)
 
 
 @pytest.mark.parametrize("where", ["flag", "file"])

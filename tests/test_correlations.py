@@ -22,10 +22,11 @@ from pulsespec import (
     detuning_average,
     no_drive_schedule,
     periodic_schedule,
+    spectrum_from_kernel,
     uhrig_schedule,
 )
 from pulsespec.spectra import fft_length
-from pulsespec.dynamics import step_multipliers
+from pulsespec.dynamics import stable_step, step_multipliers
 
 from oracles import (correlator_row, direct_sum_kernel, evolve_operator,
                      interval_loop_grid_state, op, per_detuning_average,
@@ -448,6 +449,70 @@ class TestAgainstPrefixSums:
             assert np.max(np.abs(got - want)) <= n_stretches * t_end * eps
 
 
+def x_train(times):
+    """X pulses at ``times`` over [0, 1], on 100 steps of 0.01."""
+    return (PulseSchedule(tuple(PulseEvent(t, PulseAxis.X) for t in times), window_end=1.0),
+            SimParams(delta=3.0, gamma=2.0, t_end=1.0, dt=0.01))
+
+
+class TestStretchTable:
+    """``grid_state`` keeps one population head per stretch; G(0) sums them in closed form."""
+
+    def test_no_field_grows_with_the_step_count(self):
+        sched = uhrig_schedule(12, 2.4)
+        coarse, fine = (dynamics.grid_state(sched, SimParams(delta=3.0, t_end=2.4, dt=dt))
+                        for dt in (2e-3, 1e-3))
+        for name, value in fine._asdict().items():
+            if isinstance(value, np.ndarray):
+                assert value.shape == getattr(coarse, name).shape, name
+        assert fine.decay == stable_step(1e-3, [3.0], 2.0)[0]
+        assert coarse.decay == stable_step(2e-3, [3.0], 2.0)[0]
+
+    @staticmethod
+    def trapezoid(sched, params):
+        """int_0^T rho_ee dt and int_0^T rho_gg dt over ``density_trajectory``."""
+        traj = density_trajectory(sched, params)
+        w = np.full(params.n_steps + 1, params.dt)
+        w[0] = w[-1] = 0.5 * params.dt
+        return (w * traj.ee).sum(), (w * traj.gg).sum()
+
+    @pytest.mark.parametrize("run", [
+        *((PAPER_SCHEDULES[p], SimParams(delta=3.0, gamma=2.0, t_end=2.4, dt=1e-3))
+          for p in sorted(PAPER_SCHEDULES)),
+        # gamma dt = 1e-12, where 1 - q^L would cancel and expm1 does not
+        (uhrig_schedule(4, 1.0), SimParams(delta=3.0, gamma=1e-9, t_end=1.0, dt=1e-3)),
+        (uhrig_schedule(12, 2.4), SimParams(delta=3.0, gamma=1500.0, t_end=2.4, dt=1e-3)),
+        x_train([0.035, 0.045]),  # the stretch [4, 5) has one row
+        x_train([0.005, 0.995]),  # pulses in the first and last grid intervals
+        x_train([0.5, 1.0]),  # a pulse exactly at T
+    ], ids=[*sorted(PAPER_SCHEDULES), "gamma-dt-1e-12", "gamma-dt-1.5", "one-row",
+            "first-and-last-interval", "pulse-at-T"])
+    def test_g_zero_is_the_trapezoid_over_the_trajectory(self, run):
+        kern = accumulate_kernel(*run)
+        for got, want in zip((kern.g1[0], kern.g2[0]), self.trapezoid(*run)):
+            assert got.imag == 0.0
+            assert abs(got.real - want) <= 1e-14 * want
+
+    def test_g2_zero_of_a_slow_free_decay(self):
+        # gamma dt = 1e-12 without pulses: G2(0) is about gamma T^2 / 2, 5e-10.
+        # As at every lag, G2 is the constant part less G1, so it is exact to
+        # eps of G1 + G2 = T, not of itself
+        run = no_drive_schedule(1.0), SimParams(delta=3.0, gamma=1e-9, t_end=1.0, dt=1e-3)
+        kern = accumulate_kernel(*run)
+        ee, gg = self.trapezoid(*run)
+        assert abs(kern.g1[0] - ee) <= 1e-14 * ee
+        assert abs(kern.g2[0] - gg) <= 1e-14 * (ee + gg)
+
+    def test_never_builds_a_time_grid(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("the kernel or transform built a time grid")
+
+        monkeypatch.setattr(SimParams, "time_grid", forbidden)
+        kern = accumulate_kernel(uhrig_schedule(6, 2.0),
+                                 SimParams(delta=3.0, t_end=2.0, dt=1e-2))
+        assert spectrum_from_kernel(kern, default_omega_grid()).emission.max() > 0
+
+
 class TestDecayRecurrence:
     @staticmethod
     def loop(u, q):
@@ -610,6 +675,7 @@ class TestDetuningMixture:
             want = interval_loop_grid_state(sched, params, deltas)
             assert np.array_equal(got.starts, want.starts)
             assert np.array_equal(got.columns, want.columns)
+            assert got.decay == want.decay
             for name in ("ee", "gg", "coef", "rate", "phase"):
                 assert np.max(np.abs(getattr(got, name) - getattr(want, name))) < 1e-13
 
