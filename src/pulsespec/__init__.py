@@ -8,9 +8,12 @@ only the transform takes.
 >>> from pulsespec import *
 >>> sched = periodic_schedule([PulseAxis.Z], tau=0.2, n_pulses=12)
 >>> params = SimParams(delta=3.0, t_end=2.4)
->>> spec = spectrum_from_kernel(accumulate_kernel(sched, params),
-...                             default_omega_grid())
+>>> grid = default_omega_grid()
+>>> spec = spectrum_from_kernel(accumulate_kernel(sched, params), grid)
 >>> lhs, rhs = emission_sum_rule(spec)
+>>> spec.kernel.params.delta  # the run's facts ride on its kernel
+3.0
+>>> avg = detuning_average(sched, params, [2.0, 4.0], [0.5, 0.5], grid)
 """
 
 from .core import (

@@ -32,10 +32,9 @@ import numpy as np
 from . import __version__
 from .core import (PulseAxis, PulseSchedule, SimParams, SpectrumResult, check_mixture,
                    default_omega_grid)
-from .correlations import accumulate_kernel
 from .dynamics import stable_step
 from .sequences import no_drive_schedule, periodic_schedule, uhrig_schedule
-from .spectra import detuning_average, emission_sum_rule, spectrum_from_kernel
+from .spectra import detuning_average, emission_sum_rule
 
 PROTOCOLS = ("none", "px", "pxpy", "pz", "uhrig")
 OBSERVABLES = ("emission", "absorption", "both")
@@ -65,8 +64,12 @@ class RunConfig:
     average_deltas: list[tuple[float, float]] | None = None
     plot_script: str | None = None
 
-    def validate(self) -> tuple[PulseSchedule, SimParams, np.ndarray]:
-        """Check the configuration; return the schedule, SimParams and omega grid."""
+    def validate(self) -> tuple[PulseSchedule, SimParams, np.ndarray, tuple[np.ndarray, ...]]:
+        """Check the configuration; return the schedule, SimParams, omega grid and mixture.
+
+        The mixture is ``check_mixture`` of the ``average_deltas`` pairs, or
+        of delta with weight one for a single run: the detunings computed.
+        """
         if self.protocol not in PROTOCOLS:
             raise ConfigError(
                 f"protocol: must be one of {'/'.join(PROTOCOLS)}, got {self.protocol!r}"
@@ -97,21 +100,19 @@ class RunConfig:
         if self.plot_script and os.path.realpath(self.plot_script) in {
                 os.path.realpath(self.output_path + end) for end in ("", ".meta")}:
             raise ConfigError("plot_script: must differ from the output CSV and its .meta")
-        if self.average_deltas is not None:
-            if self.delta is not None:
-                raise ConfigError("delta: not applicable with average_deltas")
-            try:
-                check_mixture([d for d, _ in self.average_deltas],
-                              [w for _, w in self.average_deltas])
-            except ValueError as exc:
-                raise ConfigError(f"average_deltas: {exc}") from None
+        if self.average_deltas is not None and self.delta is not None:
+            raise ConfigError("delta: not applicable with average_deltas")
         try:
             schedule = self.build_schedule()
             params = self.build_params(schedule.window_end)
-            weighted = self.average_deltas or [(params.delta, 1.0)]
-            stable_step(params.dt, [d for d, w in weighted if w > 0], params.gamma)
+            pairs = [(params.delta, 1.0)] if self.average_deltas is None else self.average_deltas
+            try:  # a ConfigError keeps its text through the handler below
+                mixture = check_mixture([d for d, _ in pairs], [w for _, w in pairs])
+            except ValueError as exc:
+                raise ConfigError(f"average_deltas: {exc}") from None
+            stable_step(params.dt, mixture[0], params.gamma)
             return schedule, params, default_omega_grid(self.omega_min, self.omega_max,
-                                                        self.omega_step)
+                                                        self.omega_step), mixture
         except (ValueError, ArithmeticError) as exc:
             raise ConfigError(str(exc)) from None
 
@@ -225,12 +226,11 @@ def _read_config_file(path: str, keys: dict) -> dict:
     return values
 
 
-def parse_config(args: list[str], config_file: str | None = None) -> RunConfig:
-    """Resolve, not validate, a RunConfig from flags over an optional config file."""
+def parse_config(args: list[str]) -> RunConfig:
+    """Resolve, not validate, a RunConfig from flags over an optional ``--config`` file."""
     ns = _build_parser().parse_args(args)
     keys = _config_keys()
-    path = ns.config or config_file
-    merged = _read_config_file(path, keys) if path else {}
+    merged = _read_config_file(ns.config, keys) if ns.config else {}
     for dest, _ in keys.values():
         flag = getattr(ns, dest)
         if flag is not None:
@@ -330,23 +330,25 @@ def _write_csv(path: str, spec: SpectrumResult) -> None:
         f.write(b"\n")
 
 
-def _write_metadata(path: str, config: RunConfig, spec: SpectrumResult,
+def _write_metadata(path: str, config: RunConfig, spec: SpectrumResult, n_deltas: int,
                     sum_rule: tuple[float, float] | None, notes: list[str]) -> None:
-    averaged = config.average_deltas is not None
+    """Write the .meta record; ``n_deltas`` counts the detunings computed."""
+    params, averaged = spec.kernel.params, config.average_deltas is not None
+    pairs = ",".join(f"{d:.17g}:{w:.17g}" for d, w in config.average_deltas or ())
     lines = [
         f"protocol={config.protocol}",
-        f"delta={'' if averaged else format(spec.params.delta, '.17g')}",
+        f"delta={'' if averaged else format(params.delta, '.17g')}",
         f"gamma={config.gamma:.17g}",
         f"n_pulses={'' if config.n_pulses is None else config.n_pulses}",
         f"tau={'' if config.tau is None else format(config.tau, '.17g')}",
-        f"t_end={spec.params.t_end:.17g}",
+        f"t_end={params.t_end:.17g}",
         f"dt={config.dt:.17g}",
         f"omega_min={config.omega_min:.17g}",
         f"omega_max={config.omega_max:.17g}",
         f"omega_step={config.omega_step:.17g}",
         f"observable={config.observable}",
-        f"average_deltas={'' if config.average_deltas is None else ','.join(f'{d:.17g}:{w:.17g}' for d, w in config.average_deltas)}",
-        f"schedule_digest={spec.schedule_digest}",
+        f"average_deltas={pairs}",
+        f"schedule_digest={spec.kernel.schedule_digest}" + (f" avg[{pairs}]" if averaged else ""),
     ]
     if sum_rule is not None:
         lines.append(f"sum_rule_lhs={sum_rule[0]:.17g}")
@@ -354,9 +356,8 @@ def _write_metadata(path: str, config: RunConfig, spec: SpectrumResult,
     lines.append("kernel_method=stretch-impulses")
     lines.append("transform_method=chirp-z")
     lines.append(f"warnings={' | '.join(notes)}")
-    lines.append(f"n_steps={spec.params.n_steps}")
+    lines.append(f"n_steps={params.n_steps}")
     lines.append(f"n_omega={spec.omega.size}")
-    n_deltas = sum(w > 0 for _, w in config.average_deltas) if averaged else 1
     lines.append(f"n_deltas={n_deltas}")
     lines.append(f"pulsespec_version={__version__}")
     lines.append(f"numpy_version={np.__version__}")
@@ -402,7 +403,7 @@ def run(config: RunConfig) -> SpectrumResult:
 
     The configuration is validated and each output path checked before computing.
     """
-    schedule, params, omega = config.validate()
+    schedule, params, omega, (deltas, weights) = config.validate()
     outputs = [config.output_path, config.output_path + ".meta"]
     if config.plot_script:
         outputs.append(config.plot_script)
@@ -411,11 +412,7 @@ def run(config: RunConfig) -> SpectrumResult:
     sum_rule = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if config.average_deltas is not None:
-            deltas, weights = np.transpose(config.average_deltas)
-            spec = detuning_average(schedule, params, deltas, weights, omega)
-        else:
-            spec = spectrum_from_kernel(accumulate_kernel(schedule, params), omega)
+        spec = detuning_average(schedule, params, deltas, weights, omega)
         if not (np.isfinite(spec.emission).all() and np.isfinite(spec.direct_absorption).all()):
             raise ArithmeticError("the spectrum is not finite; nothing written")
         try:
@@ -433,7 +430,7 @@ def run(config: RunConfig) -> SpectrumResult:
         print(f"warning: {note}", file=sys.stderr)
 
     _write_csv(config.output_path, spec)
-    _write_metadata(config.output_path + ".meta", config, spec, sum_rule, notes)
+    _write_metadata(config.output_path + ".meta", config, spec, deltas.size, sum_rule, notes)
     if config.plot_script:
         _write_plot_script(config.plot_script, config.output_path,
                            config.observable)

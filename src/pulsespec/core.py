@@ -109,10 +109,12 @@ def check_omega_grid(values) -> np.ndarray:
 
 
 def check_mixture(deltas, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a detuning mixture and return it as two new float arrays.
+    """Validate a detuning mixture; return its members of positive weight, in order.
 
     A mixture is two nonempty 1-d arrays of equal length with all values
-    finite, the weights nonnegative and summing to one within 1e-12.
+    finite, the weights nonnegative and summing to one within 1e-12. Zero
+    weights are dropped here, so nothing computes them. A single detuning
+    is the one-point mixture ([delta], [1.0]). The arrays returned are new.
     """
     deltas = np.array(deltas, dtype=float)
     weights = np.array(weights, dtype=float)
@@ -125,7 +127,7 @@ def check_mixture(deltas, weights) -> tuple[np.ndarray, np.ndarray]:
     total = float(weights.sum())
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"weights must sum to 1, got {total}")
-    return deltas, weights
+    return deltas[weights > 0], weights[weights > 0]
 
 
 @dataclass(frozen=True)
@@ -235,17 +237,16 @@ class CorrelationKernel:
 class SpectrumResult:
     """Per-frequency emission P, direct absorption P', net absorption Q = P' - P.
 
-    ``kernel`` is the kernel the spectrum was transformed from, if any; its
-    G1(0) is the right side of the emission sum rule.
+    ``kernel`` is the kernel the spectrum was transformed from: its
+    ``params`` and ``schedule_digest`` describe the run, and its G1(0) is
+    the right side of the emission sum rule.
     """
 
     omega: np.ndarray
     emission: np.ndarray
     direct_absorption: np.ndarray
     net_absorption: np.ndarray
-    params: SimParams
-    schedule_digest: str
-    kernel: CorrelationKernel | None = field(default=None, repr=False, compare=False)
+    kernel: CorrelationKernel = field(repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.omega)

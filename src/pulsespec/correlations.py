@@ -105,18 +105,18 @@ def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
     / expm1(ln q) and ee + gg to L_s (E_s + G_s). As at every lag, G2 is exact
     to eps of G1 + G2, not of itself. Repeated runs are bit-identical.
 
-    With ``deltas`` and ``weights`` (a mixture as ``core.check_mixture``
-    accepts it) the result is the weighted kernel sum_d w_d G_d of that
-    detuning mixture, from one ``grid_state`` pass; zero weights cost
-    nothing. Without them it is the kernel at ``params.delta``. Either way
-    the kernel carries ``params``.
+    With ``deltas`` and ``weights`` the result is the weighted kernel
+    sum_d w_d G_d of that detuning mixture, one ``grid_state`` pass over
+    the members ``core.check_mixture`` keeps. Without them it is the kernel
+    of the one-point mixture at ``params.delta``. Either way the kernel
+    carries ``params`` and the schedule's digest.
     """
     params.check_schedule(schedule)
     if deltas is None:
         deltas, weights = [params.delta], [1.0]
     deltas, weights = check_mixture(deltas, weights)
-    n, dt, used = params.n_steps, params.dt, weights > 0
-    s = grid_state(schedule, params, deltas[used])
+    n, dt = params.n_steps, params.dt
+    s = grid_state(schedule, params, deltas)
     q, a, b = s.decay, s.starts, np.append(s.starts[1:], n + 1)
     ue, uc = s.ee[:, None] / s.coef, (s.ee + s.gg)[:, None] / s.coef
     # (boundary term, impulses) at stretch starts, ends and row 1, merged by column and position
@@ -146,7 +146,7 @@ def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
             i = j
     rev_ee = np.cumsum(decay_recurrence(acc[0, :, :n + 1], q), axis=-1)
     rev_c = np.cumsum(np.cumsum(acc[1, :, :n + 1], axis=-1), axis=-1)
-    envelope = dt * weights[used, None] * exp_powers(s.rate + 1j * s.phase, n)
+    envelope = dt * weights[:, None] * exp_powers(s.rate + 1j * s.phase, n)
     g1 = np.einsum("dj,dj->j", envelope, rev_ee[:, ::-1])
     g2 = np.einsum("dj,dj->j", envelope, rev_c[:, ::-1]) - g1
     # G(0): stretch sums of ee = E q^j and of ee + gg = E + G; rows 0 and n at half weight

@@ -16,7 +16,6 @@ weighted kernel of the whole mixture.
 from __future__ import annotations
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -72,8 +71,6 @@ def spectrum_from_kernel(kernel: CorrelationKernel,
         emission=emission,
         direct_absorption=direct,
         net_absorption=direct - emission,
-        params=kernel.params,
-        schedule_digest=kernel.schedule_digest,
         kernel=kernel,
     )
 
@@ -84,10 +81,8 @@ def emission_sum_rule(result: SpectrumResult) -> tuple[float, float]:
     G1(0) of ``result.kernel`` is the time-integrated excited population,
     so the two agree up to quadrature error and spectral weight outside the
     frequency grid. Warns when the emission has not decayed at the grid
-    edges. A result without a kernel is a ValueError.
+    edges.
     """
-    if result.kernel is None:
-        raise ValueError("sum rule needs the kernel the spectrum came from")
     omega = result.omega
     if (omega[0] > -40.0 or omega[-1] < 40.0
             or np.max(np.diff(omega)) > 0.05 * (1 + 1e-9)):
@@ -117,13 +112,11 @@ def detuning_average(schedule: PulseSchedule, base_params: SimParams,
     kernel, so the average is one transform onto ``omega_grid`` of the
     mixture's weighted kernel (``accumulate_kernel`` with ``deltas`` and
     ``weights``); it equals the weighted mean of the single-detuning
-    spectra up to rounding. The mixture is checked by ``check_mixture``.
-    The result carries ``base_params``, whose own delta plays no part.
+    spectra up to rounding; a one-point mixture gives the bits of a single
+    run. The kernel carries ``base_params``, whose own delta plays no part.
     """
-    kernel = accumulate_kernel(schedule, base_params, deltas, weights)
-    spec = spectrum_from_kernel(kernel, omega_grid)
-    pairs = ",".join(f"{d:.17g}:{wt:.17g}" for d, wt in zip(deltas, weights))
-    return replace(spec, schedule_digest=f"{spec.schedule_digest} avg[{pairs}]")
+    return spectrum_from_kernel(accumulate_kernel(schedule, base_params, deltas, weights),
+                                omega_grid)
 
 
 def smooth3(values: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pulsespec
-from pulsespec import SimParams, SpectrumResult, cli, spectra
+from pulsespec import CorrelationKernel, SimParams, SpectrumResult, cli, spectra
 from pulsespec.cli import CSV_HEADER, main, parse_config
 from pulsespec.correlations import accumulate_kernel
 from pulsespec.spectra import emission_sum_rule, spectrum_from_kernel
@@ -98,10 +98,9 @@ def test_non_finite_spectrum_is_a_runtime_error(tmp_path, monkeypatch, capsys, b
         emission = spec.emission.copy()
         emission[7] = bad
         return SpectrumResult(spec.omega, emission, spec.direct_absorption,
-                              spec.direct_absorption - emission, spec.params,
-                              spec.schedule_digest, kernel)
+                              spec.direct_absorption - emission, kernel)
 
-    monkeypatch.setattr(cli, "spectrum_from_kernel", broken)
+    monkeypatch.setattr(spectra, "spectrum_from_kernel", broken)
     out = tmp_path / "x.csv"
     assert main(["--protocol", "none", "--t-end", "1", "--dt", "0.01",
                  "-o", str(out)]) == 2
@@ -119,7 +118,7 @@ def test_memory_error_is_a_runtime_error(tmp_path, monkeypatch, capsys, exc):
     def exhausted(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "accumulate_kernel", exhausted)
+    monkeypatch.setattr(spectra, "accumulate_kernel", exhausted)
     out = tmp_path / "x.csv"
     assert main(["--protocol", "none", "--t-end", "1", "-o", str(out)]) == 2
     err = capsys.readouterr().err
@@ -137,7 +136,7 @@ def test_unwritable_output_fails_before_computing(tmp_path, monkeypatch, capsys,
     def forbidden(*args, **kwargs):
         raise AssertionError("computed before checking the outputs")
 
-    monkeypatch.setattr(cli, "accumulate_kernel", forbidden)
+    monkeypatch.setattr(spectra, "accumulate_kernel", forbidden)
     if blocker:
         (tmp_path / blocker).mkdir()
     argv = ["--protocol", "none", "--t-end", "20",
@@ -229,7 +228,8 @@ def test_csv_text_is_the_per_value_format(tmp_path):
     # signed zeros, subnormals and three-digit exponents
     cols = np.array([0.0, -0.0, 5e-324, -2.2e-310, 1e-300, -1.7976931348623157e308,
                      1e300, 1.0 / 3.0, -4.5e-7, 1e22, 123456.789, -2.5]).reshape(4, 3)
-    spec = SpectrumResult(*cols, params=SimParams(delta=0.0), schedule_digest="x")
+    kernel = CorrelationKernel(np.zeros(2), np.zeros(2), SimParams(0.0, t_end=1.0, dt=1.0), "x")
+    spec = SpectrumResult(*cols, kernel=kernel)
     path = tmp_path / "x.csv"
     cli._write_csv(str(path), spec)
     rows = "".join(f"{o:.11e},{p:.11e},{pp:.11e},{q:.11e}\n" for o, p, pp, q in cols.T)
@@ -322,7 +322,7 @@ def test_meta_round_trip_with_warnings(tmp_path, capsys):
     assert list(meta) == META_KEYS
 
     config = parse_config(argv)
-    schedule, params, omega = config.validate()
+    schedule, params, omega, _ = config.validate()
     assert meta["protocol"] == "uhrig" and meta["observable"] == "both"
     assert int(meta["n_pulses"]) == 4 and meta["tau"] == ""
     for key in ("delta", "gamma", "dt", "omega_min", "omega_max", "omega_step"):
@@ -363,8 +363,11 @@ def test_meta_of_a_detuning_average(tmp_path, capsys):
     assert meta["n_deltas"] == "2"  # the zero-weight detuning is not computed
     assert (meta["n_steps"], meta["n_omega"]) == ("100", "3201")
 
+    schedule, params, omega, _ = parse_config([*AVERAGE, "-o", str(out)]).validate()
+    # the digest's label holds the pairs as given, the zero weight included
+    assert meta["schedule_digest"] == schedule.digest() + " avg[0:0.5,1:0.5,4:0]"
+
     # the sum rule of the mixture: its averaged spectrum against its G1(0)
-    schedule, params, omega = parse_config([*AVERAGE, "-o", str(out)]).validate()
     kern = accumulate_kernel(schedule, params, [0.0, 1.0], [0.5, 0.5])
     spec = spectrum_from_kernel(kern, omega)
     lhs, rhs = float(meta["sum_rule_lhs"]), float(meta["sum_rule_rhs"])
@@ -382,7 +385,6 @@ def test_detuning_average_builds_one_kernel(tmp_path, monkeypatch):
         return kernels[-1]
 
     monkeypatch.setattr(spectra, "accumulate_kernel", counting)
-    monkeypatch.setattr(cli, "accumulate_kernel", counting)
     out = tmp_path / "a.csv"
     assert main([*AVERAGE, "-o", str(out)]) == 0
     assert len(kernels) == 1

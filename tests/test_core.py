@@ -15,7 +15,7 @@ from pulsespec import (
     default_omega_grid,
     periodic_schedule,
 )
-from pulsespec.core import check_omega_grid
+from pulsespec.core import check_mixture, check_omega_grid
 
 from oracles import (
     SIGMA_PLUS,
@@ -223,6 +223,17 @@ class TestSimParams:
         assert any("fewer than 10 steps" in str(w.message) for w in seen) == warns
 
 
+class TestMixture:
+    def test_keeps_the_members_of_positive_weight_in_order(self):
+        deltas, weights = check_mixture([4.0, 1.0, -2.0, 1.0], [0.0, 0.25, 0.75, 0.0])
+        assert deltas.tolist() == [1.0, -2.0] and weights.tolist() == [0.25, 0.75]
+
+    def test_a_single_detuning_is_the_one_point_mixture(self):
+        deltas, weights = check_mixture([-0.0], [1.0])
+        assert deltas.tolist() == [-0.0] and weights.tolist() == [1.0]
+        assert np.signbit(deltas[0])
+
+
 class TestResultTypes:
     def test_kernel_copies_the_callers_arrays(self):
         params = SimParams(delta=0, t_end=0.01, dt=1e-3)
@@ -250,7 +261,8 @@ class TestResultTypes:
 
     def test_spectrum_copies_the_callers_arrays(self):
         omega, p = np.linspace(-1.0, 1.0, 5), np.ones(5)
-        spec = SpectrumResult(omega, p, p.copy(), np.zeros(5), SimParams(delta=0), "x")
+        kernel = CorrelationKernel(np.zeros(2), np.zeros(2), SimParams(0.0, t_end=1.0, dt=1.0), "x")
+        spec = SpectrumResult(omega, p, p.copy(), np.zeros(5), kernel)
         omega[0], p[0] = 9.0, 2.0
         assert (spec.omega[0], spec.emission[0]) == (-1.0, 1.0)
         with pytest.raises(ValueError, match="read-only"):

@@ -25,7 +25,6 @@ from pulsespec import (
     spectrum_from_kernel,
     uhrig_schedule,
 )
-from pulsespec.spectra import fft_length
 from pulsespec.dynamics import stable_step, step_multipliers
 
 from oracles import (correlator_row, direct_sum_kernel, evolve_operator,
@@ -260,7 +259,7 @@ def coarse_runs(draw):
             SimParams(delta=delta, gamma=2.0, t_end=t_end, dt=dt))
 
 
-class TestFftKernelOracles:
+class TestKernelAgainstOracles:
     @settings(max_examples=40, deadline=None)
     @given(run=coarse_runs())
     def test_matches_row_loop_on_random_schedules(self, run):
@@ -426,7 +425,7 @@ class TestAgainstPrefixSums:
                    centre + NINE_OFFSETS, NINE_WEIGHTS)
 
     def test_dense_run(self):
-        self.check(*TestFftKernelOracles.dense_run())
+        self.check(*TestKernelAgainstOracles.dense_run())
 
     @pytest.mark.parametrize("delta", [0.0, 3.0])
     def test_dense_xy_train_against_long_double(self, delta):
@@ -571,34 +570,6 @@ class TestExpPowers:
         assert err(got) <= err(np.exp(np.multiply.outer(z, j))) + 4 * self.EPS
 
 
-class TestFftLength:
-    def test_is_the_next_5_smooth_number(self):
-        limit = 20000
-        smooth = np.array(sorted(2 ** a * 3 ** b * 5 ** c for a in range(16)
-                                 for b in range(10) for c in range(7)))
-        n = np.arange(1, limit + 1)
-        want = smooth[np.searchsorted(smooth, n)]  # first 5-smooth >= n
-        assert want[-1] <= 2 ** 15  # the list holds every 5-smooth number up to 2^15
-        assert [fft_length(int(k)) for k in n] == want.tolist()
-
-    @pytest.mark.parametrize("n", [22, 37, 40])
-    def test_kernel_without_padding_slack(self, n):
-        # an even number of X/Y pulses ends on the ge column, so lag n pairs
-        # the last row with the first; 2n + 1 is 5-smooth, the length at which
-        # an FFT cross-correlation of the rows has no spare zeros to keep a
-        # wrap-around off that pair
-        assert fft_length(2 * n + 1) == 2 * n + 1
-        dt = 0.05
-        events = (PulseEvent(3 * dt, PulseAxis.X), PulseEvent(7.4 * dt, PulseAxis.Z),
-                  PulseEvent(7.7 * dt, PulseAxis.Y), PulseEvent((n - 3) * dt, PulseAxis.Z))
-        sched = PulseSchedule(events=events, window_end=n * dt)
-        params = SimParams(delta=2.5, gamma=2.0, t_end=n * dt, dt=dt)
-        kern = accumulate_kernel(sched, params)
-        g1, g2 = row_loop_kernel(sched, params)
-        assert np.max(np.abs(kern.g1 - g1)) < 1e-12
-        assert np.max(np.abs(kern.g2 - g2)) < 1e-12
-
-
 @st.composite
 def mixtures(draw):
     """A ``coarse_runs`` schedule and a detuning mixture for it.
@@ -668,7 +639,7 @@ class TestDetuningMixture:
                 (PulseSchedule(tuple(PulseEvent(0.013 + 0.0973 * k, PulseAxis.Z)
                                      for k in range(1, 11)), window_end=1.0),
                  SimParams(delta=0.0, t_end=1.0, dt=1e-2)),
-                TestFftKernelOracles.dense_run()]
+                TestKernelAgainstOracles.dense_run()]
         deltas = np.linspace(-3.0, 6.0, n_deltas)
         for sched, params in runs:
             got = dynamics.grid_state(sched, params, deltas)

@@ -3,10 +3,11 @@
 Code that only the tests reach belongs in the tests. The probe runs
 ``cli.main`` on each protocol, a detuning average, a config file, a plot
 script and a bad flag under ``sys.setprofile``, and lists every function
-and method defined under ``src/pulsespec`` that no call entered.
+and method defined under ``src/pulsespec`` that no call entered. The
+functions the benchmark's spans wrap (``pulsebench/spans.py``) must exist.
 """
 
-import importlib
+import importlib.util
 import inspect
 import pkgutil
 import sys
@@ -93,3 +94,20 @@ def test_every_src_function_is_reached_from_the_cli(tmp_path, capsys):
     assert codes == [0] * 6 + [1]
     unreached = {name for code, name in functions.items() if code not in reached}
     assert unreached == NOT_ON_THE_CLI_PATH
+
+
+def test_every_benchmark_span_target_exists(monkeypatch):
+    # the benchmark drops its self-time metrics when one of these is gone
+    path = Path(__file__).resolve().parents[1] / "pulsebench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("pulsebench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    missing = []
+    for name, (module, attrs) in spans.LAYERS.items():
+        obj = importlib.import_module(module)
+        for attr in attrs.split("."):
+            obj = getattr(obj, attr, None)
+        if not (module.startswith("pulsespec.") and callable(obj)):
+            missing.append(name)
+    assert missing == []
