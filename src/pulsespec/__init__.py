@@ -7,12 +7,12 @@ only the transform takes.
 
 >>> from pulsespec import *
 >>> sched = periodic_schedule([PulseAxis.Z], tau=0.2, n_pulses=12)
->>> params = SimParams(delta=3.0, t_end=2.4)
+>>> params = SimParams(t_end=2.4)
 >>> grid = default_omega_grid()
->>> spec = spectrum_from_kernel(accumulate_kernel(sched, params), grid)
+>>> spec = spectrum_from_kernel(accumulate_kernel(sched, params, [3.0], [1.0]), grid)
 >>> lhs, rhs = emission_sum_rule(spec)
->>> spec.kernel.params.delta  # the run's facts ride on its kernel
-3.0
+>>> spec.kernel.params  # the run's facts ride on its kernel
+SimParams(gamma=2.0, t_end=2.4, dt=0.001)
 >>> avg = detuning_average(sched, params, [2.0, 4.0], [0.5, 0.5], grid)
 """
 

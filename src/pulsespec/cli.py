@@ -67,8 +67,8 @@ class RunConfig:
     def validate(self) -> tuple[PulseSchedule, SimParams, np.ndarray, tuple[np.ndarray, ...]]:
         """Check the configuration; return the schedule, SimParams, omega grid and mixture.
 
-        The mixture is ``check_mixture`` of the ``average_deltas`` pairs, or
-        of delta with weight one for a single run: the detunings computed.
+        The mixture is ``check_mixture`` of the ``average_deltas`` pairs, or of
+        delta (0 if unset) with weight one; its errors name that flag.
         """
         if self.protocol not in PROTOCOLS:
             raise ConfigError(
@@ -105,11 +105,13 @@ class RunConfig:
         try:
             schedule = self.build_schedule()
             params = self.build_params(schedule.window_end)
-            pairs = [(params.delta, 1.0)] if self.average_deltas is None else self.average_deltas
+            flag, pairs = "average_deltas", self.average_deltas
+            if self.average_deltas is None:
+                flag, pairs = "delta", [(0.0 if self.delta is None else self.delta, 1.0)]
             try:  # a ConfigError keeps its text through the handler below
                 mixture = check_mixture([d for d, _ in pairs], [w for _, w in pairs])
             except ValueError as exc:
-                raise ConfigError(f"average_deltas: {exc}") from None
+                raise ConfigError(f"{flag}: {exc}") from None
             stable_step(params.dt, mixture[0], params.gamma)
             return schedule, params, default_omega_grid(self.omega_min, self.omega_max,
                                                         self.omega_step), mixture
@@ -124,12 +126,7 @@ class RunConfig:
         return periodic_schedule(_PERIODIC[self.protocol], self.tau, self.n_pulses)
 
     def build_params(self, t_end: float) -> SimParams:
-        return SimParams(
-            delta=0.0 if self.delta is None else self.delta,
-            gamma=self.gamma,
-            t_end=t_end,
-            dt=self.dt,
-        )
+        return SimParams(gamma=self.gamma, t_end=t_end, dt=self.dt)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -197,32 +194,34 @@ def _config_keys() -> dict[str, tuple[str, type]]:
 
 
 def _read_config_file(path: str, keys: dict) -> dict:
-    """Values of a key=value file, by RunConfig field; ``keys`` as _config_keys."""
+    """Values of a UTF-8 key=value file, by RunConfig field; ``keys`` as _config_keys."""
     try:
-        f = open(path)
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     values = {}
-    with f:
-        for lineno, raw in enumerate(f, start=1):
-            # a '#' at the start of a line or after whitespace starts a comment
-            line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in keys:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            dest, parse = keys[key]
-            try:
-                values[dest] = parse(value)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: {key}: cannot parse {value!r}"
-                ) from None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        # a '#' at the start of a line or after whitespace starts a comment
+        line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        dest, parse = keys[key]
+        try:
+            values[dest] = parse(value)
+        except ValueError:
+            raise ConfigError(
+                f"{path}:{lineno}: {key}: cannot parse {value!r}"
+            ) from None
     return values
 
 
@@ -330,14 +329,14 @@ def _write_csv(path: str, spec: SpectrumResult) -> None:
         f.write(b"\n")
 
 
-def _write_metadata(path: str, config: RunConfig, spec: SpectrumResult, n_deltas: int,
+def _write_metadata(path: str, config: RunConfig, spec: SpectrumResult, deltas: np.ndarray,
                     sum_rule: tuple[float, float] | None, notes: list[str]) -> None:
-    """Write the .meta record; ``n_deltas`` counts the detunings computed."""
+    """Write the .meta record; ``deltas`` are the detunings computed, from ``validate``."""
     params, averaged = spec.kernel.params, config.average_deltas is not None
     pairs = ",".join(f"{d:.17g}:{w:.17g}" for d, w in config.average_deltas or ())
     lines = [
         f"protocol={config.protocol}",
-        f"delta={'' if averaged else format(params.delta, '.17g')}",
+        f"delta={'' if averaged else format(deltas[0], '.17g')}",
         f"gamma={config.gamma:.17g}",
         f"n_pulses={'' if config.n_pulses is None else config.n_pulses}",
         f"tau={'' if config.tau is None else format(config.tau, '.17g')}",
@@ -358,7 +357,7 @@ def _write_metadata(path: str, config: RunConfig, spec: SpectrumResult, n_deltas
     lines.append(f"warnings={' | '.join(notes)}")
     lines.append(f"n_steps={params.n_steps}")
     lines.append(f"n_omega={spec.omega.size}")
-    lines.append(f"n_deltas={n_deltas}")
+    lines.append(f"n_deltas={deltas.size}")
     lines.append(f"pulsespec_version={__version__}")
     lines.append(f"numpy_version={np.__version__}")
     with open(path, "w", newline="\n") as f:
@@ -430,7 +429,7 @@ def run(config: RunConfig) -> SpectrumResult:
         print(f"warning: {note}", file=sys.stderr)
 
     _write_csv(config.output_path, spec)
-    _write_metadata(config.output_path + ".meta", config, spec, deltas.size, sum_rule, notes)
+    _write_metadata(config.output_path + ".meta", config, spec, deltas, sum_rule, notes)
     if config.plot_script:
         _write_plot_script(config.plot_script, config.output_path,
                            config.observable)

@@ -111,10 +111,11 @@ def check_omega_grid(values) -> np.ndarray:
 def check_mixture(deltas, weights) -> tuple[np.ndarray, np.ndarray]:
     """Validate a detuning mixture; return its members of positive weight, in order.
 
-    A mixture is two nonempty 1-d arrays of equal length with all values
-    finite, the weights nonnegative and summing to one within 1e-12. Zero
-    weights are dropped here, so nothing computes them. A single detuning
-    is the one-point mixture ([delta], [1.0]). The arrays returned are new.
+    It is the only home of the emitter's detuning delta from the pulse
+    carrier: a single detuning is the one-point mixture ([delta], [1.0]).
+    Two nonempty 1-d arrays of equal length, all values finite, the weights
+    nonnegative and summing to one within 1e-12. Zero weights are dropped
+    here, so nothing computes them. The arrays returned are new.
     """
     deltas = np.array(deltas, dtype=float)
     weights = np.array(weights, dtype=float)
@@ -130,11 +131,10 @@ def check_mixture(deltas, weights) -> tuple[np.ndarray, np.ndarray]:
     return deltas[weights > 0], weights[weights > 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SimParams:
-    """Physical and numerical parameters of one simulation run, all finite.
+    """Facts of one run that every detuning shares, all finite (see ``check_mixture``).
 
-    delta      detuning of the emitter from the pulse carrier (rotating frame)
     gamma      spontaneous emission rate (> 0); the natural unit choice is 2
     t_end      observation window T (> 0); must match the schedule window
     dt         integration step; t_end must be an integer number of steps
@@ -143,14 +143,11 @@ class SimParams:
     of the transform, not a run parameter.
     """
 
-    delta: float
     gamma: float = 2.0
     t_end: float = 2.0
     dt: float = 1e-3
 
     def __post_init__(self):
-        if not math.isfinite(self.delta):
-            raise ValueError("delta must be finite")
         for name in ("gamma", "t_end", "dt"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")

@@ -87,9 +87,8 @@ def decay_recurrence(u: np.ndarray, q: float) -> np.ndarray:
 
 
 def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
-                      deltas: np.ndarray | None = None,
-                      weights: np.ndarray | None = None) -> CorrelationKernel:
-    """Reduce both correlators to their theta kernels G1, G2.
+                      deltas: np.ndarray, weights: np.ndarray) -> CorrelationKernel:
+    """Reduce both correlators to the weighted theta kernels G1, G2 of a detuning mixture.
 
     G[j] = sum_k w_k C(t_k, theta_j) over the rows k = 0..N-j (the
     integration triangle), with trapezoidal row weights: dt/2 for the rows
@@ -105,15 +104,12 @@ def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
     / expm1(ln q) and ee + gg to L_s (E_s + G_s). As at every lag, G2 is exact
     to eps of G1 + G2, not of itself. Repeated runs are bit-identical.
 
-    With ``deltas`` and ``weights`` the result is the weighted kernel
-    sum_d w_d G_d of that detuning mixture, one ``grid_state`` pass over
-    the members ``core.check_mixture`` keeps. Without them it is the kernel
-    of the one-point mixture at ``params.delta``. Either way the kernel
-    carries ``params`` and the schedule's digest.
+    The result is sum_d w_d G_d over the members ``core.check_mixture``
+    keeps, from one ``grid_state`` pass; a single detuning delta is the
+    one-point mixture [delta], [1.0]. The kernel carries ``params`` and the
+    schedule's digest.
     """
     params.check_schedule(schedule)
-    if deltas is None:
-        deltas, weights = [params.delta], [1.0]
     deltas, weights = check_mixture(deltas, weights)
     n, dt = params.n_steps, params.dt
     s = grid_state(schedule, params, deltas)

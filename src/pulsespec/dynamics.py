@@ -77,7 +77,7 @@ def stable_step(dt: float, deltas, gamma: float) -> tuple[float, np.ndarray]:
         decay, phase = step_multipliers(dt, deltas, gamma)
         if not (0.0 < decay < 1.0 and np.all(np.abs(phase) < 1.0)):
             raise ValueError(f"dt={dt:g} is outside the RK4 stability region at gamma="
-                             f"{gamma:g}, max |delta|={np.max(np.abs(deltas)):g}")
+                             f"{gamma:g}, max |delta|={np.max(np.abs(deltas), initial=0.0):g}")
     return decay, phase
 
 
@@ -108,9 +108,8 @@ class GridState(NamedTuple):
     phase: np.ndarray
 
 
-def grid_state(schedule: PulseSchedule, params: SimParams,
-               deltas: np.ndarray | None = None) -> GridState:
-    """Closed-form GridState for every detuning in ``deltas`` (default: ``params.delta``).
+def grid_state(schedule: PulseSchedule, params: SimParams, deltas: np.ndarray) -> GridState:
+    """Closed-form GridState for every detuning in ``deltas``, which may be empty.
 
     One scalar pass splits the pulsed grid intervals at their pulses, carrying
     the populations and, as a signed unit (ge, eg), the column and sign of M
@@ -121,7 +120,7 @@ def grid_state(schedule: PulseSchedule, params: SimParams,
     """
     n, dt, gamma = params.n_steps, params.dt, params.gamma
     snap = TIME_SNAP * dt
-    deltas = np.array([params.delta] if deltas is None else deltas, dtype=float)
+    deltas = np.array(deltas, dtype=float)
     decay, phases = stable_step(dt, deltas, gamma)
     log_decay, scales, phase = math.log(decay), np.abs(phases), np.angle(phases)
     # pulse i acts in the interval (t_{m-1}, t_m], m = where[i]; pulses with
@@ -179,10 +178,10 @@ def density_trajectory(schedule: PulseSchedule, params: SimParams) -> Trajectory
     """Evolve the emitter density matrix from the occupied excited state.
 
     Initial condition: ee = 1 and everything else zero at t = 0. One exp/expm1
-    expands the stretch heads of ``grid_state``, with q^j = e^{j ln q}.
+    expands the stretch heads of ``grid_state``, with q^j = e^{j ln q}, at no detuning.
     """
     params.check_schedule(schedule)
-    s, n = grid_state(schedule, params), params.n_steps
+    s, n = grid_state(schedule, params, ()), params.n_steps
     at = np.repeat(np.arange(s.starts.size), np.diff(s.starts, append=n + 1))
     x = (np.arange(n + 1) - s.starts[at]) * math.log(s.decay)
     return Trajectory(params.time_grid(), s.ee[at] * np.exp(x), s.gg[at] - s.ee[at] * np.expm1(x))

@@ -103,7 +103,7 @@ def emission_sum_rule(result: SpectrumResult) -> tuple[float, float]:
     return lhs, rhs
 
 
-def detuning_average(schedule: PulseSchedule, base_params: SimParams,
+def detuning_average(schedule: PulseSchedule, params: SimParams,
                      deltas: np.ndarray, weights: np.ndarray,
                      omega_grid: np.ndarray) -> SpectrumResult:
     """Weighted ensemble average of spectra over a set of detunings.
@@ -112,10 +112,9 @@ def detuning_average(schedule: PulseSchedule, base_params: SimParams,
     kernel, so the average is one transform onto ``omega_grid`` of the
     mixture's weighted kernel (``accumulate_kernel`` with ``deltas`` and
     ``weights``); it equals the weighted mean of the single-detuning
-    spectra up to rounding; a one-point mixture gives the bits of a single
-    run. The kernel carries ``base_params``, whose own delta plays no part.
+    spectra up to rounding. A single run is the one-point mixture [delta], [1.0].
     """
-    return spectrum_from_kernel(accumulate_kernel(schedule, base_params, deltas, weights),
+    return spectrum_from_kernel(accumulate_kernel(schedule, params, deltas, weights),
                                 omega_grid)
 
 

@@ -22,7 +22,6 @@ long double, both on the grid populations of ``density_trajectory``.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -96,8 +95,8 @@ def rk4_oracle(rho, h, delta, gamma):
     return rho + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def evolve_operator(rho, t_from, t_to, schedule, params):
-    """Evolve rho (or a stack of them) from t_from to t_to.
+def evolve_operator(rho, t_from, t_to, schedule, params, delta):
+    """Evolve rho (or a stack of them) from t_from to t_to at detuning delta.
 
     RK4 steps run on the lattice t_from + k*dt, the last one shortened to
     end at t_to. A pulse cuts the lattice interval (a, b] it falls in: the
@@ -124,16 +123,16 @@ def evolve_operator(rho, t_from, t_to, schedule, params):
         for ev in schedule.events:
             if a + snap < ev.time <= b + snap:
                 if ev.time - cur > snap:
-                    rho = rk4_oracle(rho, ev.time - cur, params.delta, params.gamma)
+                    rho = rk4_oracle(rho, ev.time - cur, delta, params.gamma)
                 rho = PAULI[ev.axis] @ rho @ PAULI[ev.axis]
                 cur = ev.time
         if b - cur > snap:
-            rho = rk4_oracle(rho, b - cur, params.delta, params.gamma)
+            rho = rk4_oracle(rho, b - cur, delta, params.gamma)
     return rho
 
 
-def correlator_row(t_seed, rho_at_seed, schedule, params):
-    """C1(t_seed, theta) and C2(t_seed, theta) for theta = 0, dt, ..., T - t_seed.
+def correlator_row(t_seed, rho_at_seed, schedule, params, delta):
+    """C1(t_seed, theta) and C2(t_seed, theta) at detuning delta, theta = 0, dt, ..., T - t_seed.
 
     ``rho_at_seed`` is the density matrix at the grid time t_seed
     (post-pulse if a pulse sits there). Both seeds are evolved one grid
@@ -149,14 +148,14 @@ def correlator_row(t_seed, rho_at_seed, schedule, params):
                       right_mul_sigma_minus(rho_at_seed)])
     rows = [seeds[:, 1, 0]]
     for a, b in zip(grid[:-1], grid[1:]):
-        seeds = evolve_operator(seeds, a, b, schedule, params)
+        seeds = evolve_operator(seeds, a, b, schedule, params, delta)
         rows.append(seeds[:, 1, 0])
     c1, c2 = np.array(rows).T
     return c1, c2
 
 
-def row_loop_kernel(schedule, params):
-    """G1, G2 summed row by row from ``correlator_row``, trapezoidal in t.
+def row_loop_kernel(schedule, params, delta):
+    """G1, G2 at detuning delta summed row by row from ``correlator_row``, trapezoidal in t.
 
     The density matrix at each seed time comes from ``evolve_operator``,
     one grid interval at a time from the excited state.
@@ -170,8 +169,8 @@ def row_loop_kernel(schedule, params):
     g2 = np.zeros(n + 1, dtype=complex)
     for k in range(n + 1):
         if k:
-            rho = evolve_operator(rho, grid[k - 1], grid[k], schedule, params)
-        c1, c2 = correlator_row(grid[k], rho, schedule, params)
+            rho = evolve_operator(rho, grid[k - 1], grid[k], schedule, params, delta)
+        c1, c2 = correlator_row(grid[k], rho, schedule, params, delta)
         g1[:c1.size] += w[k] * c1
         g2[:c2.size] += w[k] * c2
     return g1, g2
@@ -186,7 +185,7 @@ def per_detuning_average(schedule, params, deltas, weights, omega_grid):
     emission = np.zeros(len(omega_grid))
     direct = np.zeros(len(omega_grid))
     for delta, weight in zip(deltas, weights):
-        kern = accumulate_kernel(schedule, replace(params, delta=float(delta)))
+        kern = accumulate_kernel(schedule, params, [delta], [1.0])
         spec = spectrum_from_kernel(kern, omega_grid)
         emission += weight * spec.emission
         direct += weight * spec.direct_absorption
@@ -258,7 +257,7 @@ def interval_loop_grid_state(schedule, params, deltas):
     return GridState(ee, gg, decay, starts, columns, coef, np.log(scales), phase)
 
 
-def prefix_sum_kernel(schedule, params, deltas=None, weights=None):
+def prefix_sum_kernel(schedule, params, deltas, weights):
     """G1, G2 of ``accumulate_kernel`` from per-stretch prefix sums, O(D S N).
 
     The same stretches, coefficients and envelope, but the t-sum of each
@@ -267,8 +266,6 @@ def prefix_sum_kernel(schedule, params, deltas=None, weights=None):
     one slice per stretch boundary, one where the stretches on both sides
     share the column. Its rounding grows only as O(S T eps).
     """
-    if deltas is None:
-        deltas, weights = [params.delta], [1.0]
     deltas, weights = check_mixture(deltas, weights)
     n, dt = params.n_steps, params.dt
     w = np.full(n + 1, dt)
@@ -298,8 +295,8 @@ def prefix_sum_kernel(schedule, params, deltas=None, weights=None):
     return g[0], g[1]
 
 
-def direct_sum_kernel(schedule, params):
-    """G1, G2 as the O(N^2) triangle sum, every product and sum in long double.
+def direct_sum_kernel(schedule, params, delta):
+    """G1, G2 at detuning delta as the O(N^2) triangle sum, every product and sum in long double.
 
     From the populations of ``density_trajectory`` and the maps of
     ``grid_state``: row k on column c(k) reaches lag j with K = e^{j z}
@@ -309,7 +306,7 @@ def direct_sum_kernel(schedule, params):
     how the kernel sums, to about 1e-19 where doubles give 1e-16.
     """
     n, dt = params.n_steps, params.dt
-    s = grid_state(schedule, params)
+    s = grid_state(schedule, params, [delta])
     at = np.repeat(np.arange(s.starts.size), np.diff(s.starts, append=n + 1))
     coef, col = s.coef[at, 0].astype(np.clongdouble), s.columns[at]
     w = np.full(n + 1, dt, dtype=np.longdouble)

@@ -45,7 +45,10 @@ def test_non_finite_input_is_a_configuration_error(tmp_path, capsys, bad):
     out = tmp_path / "x.csv"
     argv = ["--protocol", "none", "--t-end", "1", "-o", str(out)]
     assert main(argv + bad) == 1
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    if bad[0] in ("--delta", "--average-deltas"):  # the detunings name the flag given
+        assert err.startswith(f"configuration error: {bad[0][2:].replace('-', '_')}: ")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -228,7 +231,7 @@ def test_csv_text_is_the_per_value_format(tmp_path):
     # signed zeros, subnormals and three-digit exponents
     cols = np.array([0.0, -0.0, 5e-324, -2.2e-310, 1e-300, -1.7976931348623157e308,
                      1e300, 1.0 / 3.0, -4.5e-7, 1e22, 123456.789, -2.5]).reshape(4, 3)
-    kernel = CorrelationKernel(np.zeros(2), np.zeros(2), SimParams(0.0, t_end=1.0, dt=1.0), "x")
+    kernel = CorrelationKernel(np.zeros(2), np.zeros(2), SimParams(t_end=1.0, dt=1.0), "x")
     spec = SpectrumResult(*cols, kernel=kernel)
     path = tmp_path / "x.csv"
     cli._write_csv(str(path), spec)
@@ -310,6 +313,35 @@ def test_unreadable_config_file_is_a_configuration_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == f"configuration error: cannot read {cfg}: {reason}\n"
     assert [p.name for p in tmp_path.iterdir()] == ([name] if cfg.exists() else [])
+
+
+def test_undecodable_config_file_is_a_configuration_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"protocol=none\nt_end=1\n# caf\xe9 (Latin-1)\n")
+    assert main(["--config", str(cfg), "-o", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: {cfg}: not UTF-8 text (invalid continuation byte at byte 27)\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_file_is_utf8_whatever_the_locale(tmp_path):
+    cfg = write_config(tmp_path, "protocol=none\nt_end=1\ndt=0.01  # café\n")
+    out = tmp_path / "x.csv"
+    proc = run_module(["--config", cfg, "-o", str(out)], LC_ALL="C", PYTHONUTF8="0")
+    assert proc.returncode == 0, proc.stderr
+    assert read_meta(out)["dt"] == "0.01"
+
+
+@pytest.mark.parametrize("flags, text", [
+    ([], "0"),
+    (["--delta=-0.0"], "-0"),
+    (["--delta", "1.5"], "1.5"),
+])
+def test_meta_delta_is_the_detuning_computed(tmp_path, flags, text):
+    out = tmp_path / "x.csv"
+    assert main(["--protocol", "none", "--t-end", "1", "--dt", "0.01", *flags,
+                 "-o", str(out)]) == 0
+    assert read_meta(out)["delta"] == text
 
 
 def test_meta_round_trip_with_warnings(tmp_path, capsys):
@@ -435,8 +467,8 @@ def test_meta_warnings_empty_when_none_fire(tmp_path, capsys):
     assert read_meta(out)["warnings"] == ""
 
 
-def run_module(argv, module="pulsespec"):
-    env = dict(os.environ, PYTHONPATH=str(Path(pulsespec.__file__).parents[1]))
+def run_module(argv, module="pulsespec", **env):
+    env = dict(os.environ, PYTHONPATH=str(Path(pulsespec.__file__).parents[1]), **env)
     return subprocess.run([sys.executable, "-m", module, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
 

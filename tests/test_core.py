@@ -1,5 +1,6 @@
 """Core types: schedules and parameters; the oracles' density check and seeds."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -149,23 +150,31 @@ class TestPulseSchedule:
 class TestSimParams:
     def test_rejects_bad_scalars(self):
         with pytest.raises(ValueError):
-            SimParams(delta=0, gamma=-1.0)
+            SimParams(gamma=-1.0)
         with pytest.raises(ValueError):
-            SimParams(delta=0, t_end=0.0)
+            SimParams(t_end=0.0)
         with pytest.raises(ValueError):
-            SimParams(delta=0, dt=-1e-3)
+            SimParams(dt=-1e-3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("name", ["delta", "gamma", "t_end", "dt"])
+    @pytest.mark.parametrize("name", ["gamma", "t_end", "dt"])
     def test_rejects_non_finite_scalars(self, name, bad):
         with pytest.raises(ValueError, match="finite"):
-            SimParams(**{"delta": 0.0, name: bad})
+            SimParams(**{name: bad})
 
     def test_is_a_value(self):
-        a, b = SimParams(delta=0.0), SimParams(delta=0.0)
+        a, b = SimParams(), SimParams()
         assert a == b and hash(a) == hash(b)
-        assert len({a, b, SimParams(delta=1.0)}) == 2
-        assert a != SimParams(delta=0.0, dt=2e-3)
+        assert len({a, b, SimParams(gamma=1.0)}) == 2
+        assert a != SimParams(dt=2e-3)
+
+    def test_holds_only_the_detuning_independent_facts_by_keyword(self):
+        # the detuning lives in the mixture; a positional call cannot shift onto gamma
+        assert [f.name for f in dataclasses.fields(SimParams)] == ["gamma", "t_end", "dt"]
+        with pytest.raises(TypeError):
+            SimParams(0.0, 2.0)
+        with pytest.raises(TypeError):
+            SimParams(delta=0.0)
 
     # the detector grid is no SimParams field: these check its own check
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -179,7 +188,7 @@ class TestSimParams:
 
     def test_rejects_non_divisible_window(self):
         with pytest.raises(ValueError, match="integer multiple"):
-            SimParams(delta=0, t_end=1.0005, dt=1e-3 * 3)
+            SimParams(t_end=1.0005, dt=1e-3 * 3)
 
     def test_rejects_unsorted_omega(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -189,20 +198,20 @@ class TestSimParams:
             default_omega_grid(1e16, 1e16 + 2.0, 0.5)
 
     def test_time_grid(self):
-        p = SimParams(delta=0, t_end=0.01, dt=1e-3)
+        p = SimParams(t_end=0.01, dt=1e-3)
         grid = p.time_grid()
         assert len(grid) == 11
         assert grid[0] == 0.0
         assert grid[-1] == pytest.approx(0.01, abs=1e-15)
 
     def test_check_schedule_window_mismatch(self):
-        p = SimParams(delta=0, t_end=2.0)
+        p = SimParams(t_end=2.0)
         s = PulseSchedule(events=(), window_end=1.0)
         with pytest.raises(ValueError, match="window"):
             p.check_schedule(s)
 
     def test_check_schedule_coarse_dt_warns(self):
-        p = SimParams(delta=0, t_end=0.4, dt=0.1)
+        p = SimParams(t_end=0.4, dt=0.1)
         s = PulseSchedule(events=(PulseEvent(0.2, PulseAxis.X),), window_end=0.4)
         with pytest.warns(UserWarning, match="fewer than 10 steps"):
             p.check_schedule(s)
@@ -215,7 +224,7 @@ class TestSimParams:
     ])
     def test_check_schedule_ten_steps_per_gap_are_enough(self, tau, dt, warns):
         s = periodic_schedule([PulseAxis.X], tau, 240)
-        p = SimParams(delta=0, t_end=s.window_end, dt=dt)
+        p = SimParams(t_end=s.window_end, dt=dt)
         # pyproject.toml ignores this warning for the whole suite
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
@@ -236,7 +245,7 @@ class TestMixture:
 
 class TestResultTypes:
     def test_kernel_copies_the_callers_arrays(self):
-        params = SimParams(delta=0, t_end=0.01, dt=1e-3)
+        params = SimParams(t_end=0.01, dt=1e-3)
         g = np.ones(params.n_steps + 1, complex)
         kern = CorrelationKernel(g, g.copy(), params, "x")
         g[0] = 2.0  # the caller's arrays stay writable
@@ -245,7 +254,7 @@ class TestResultTypes:
             kern.g1[0] = 0.0
 
     def test_kernel_lives_on_the_run_time_grid(self):
-        params = SimParams(delta=0, t_end=0.01, dt=1e-3)
+        params = SimParams(t_end=0.01, dt=1e-3)
         g = np.ones(params.n_steps + 1, complex)
         kern = CorrelationKernel(g, g.copy(), params, "x")
         assert np.array_equal(kern.theta_grid, params.time_grid())
@@ -261,7 +270,7 @@ class TestResultTypes:
 
     def test_spectrum_copies_the_callers_arrays(self):
         omega, p = np.linspace(-1.0, 1.0, 5), np.ones(5)
-        kernel = CorrelationKernel(np.zeros(2), np.zeros(2), SimParams(0.0, t_end=1.0, dt=1.0), "x")
+        kernel = CorrelationKernel(np.zeros(2), np.zeros(2), SimParams(t_end=1.0, dt=1.0), "x")
         spec = SpectrumResult(omega, p, p.copy(), np.zeros(5), kernel)
         omega[0], p[0] = 9.0, 2.0
         assert (spec.omega[0], spec.emission[0]) == (-1.0, 1.0)

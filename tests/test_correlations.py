@@ -1,7 +1,6 @@
 """Regression rows and the triangle reduction to theta kernels."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,65 +39,65 @@ def rho_at(traj, k):
 class TestCorrelatorRow:
     def test_theta_zero_equals_populations(self):
         sched = periodic_schedule([PulseAxis.X], 0.2, 4)
-        params = SimParams(delta=2.0, gamma=2.0, t_end=0.8, dt=1e-3)
+        params = SimParams(gamma=2.0, t_end=0.8, dt=1e-3)
         traj = density_trajectory(sched, params)
         for k in (0, 137, 400):
-            c1, c2 = correlator_row(k * params.dt, rho_at(traj, k), sched, params)
+            c1, c2 = correlator_row(k * params.dt, rho_at(traj, k), sched, params, 2.0)
             assert c1[0] == pytest.approx(traj.ee[k])
             assert c2[0] == pytest.approx(traj.gg[k])
 
     def test_free_decay_row_is_exponential(self):
-        params = SimParams(delta=0.0, gamma=2.0, t_end=1.0, dt=1e-3)
+        params = SimParams(gamma=2.0, t_end=1.0, dt=1e-3)
         sched = no_drive_schedule(1.0)
         traj = density_trajectory(sched, params)
         k = 250
-        c1, _ = correlator_row(k * params.dt, rho_at(traj, k), sched, params)
+        c1, _ = correlator_row(k * params.dt, rho_at(traj, k), sched, params, 0.0)
         theta = np.arange(c1.size) * params.dt
         expect = traj.ee[k] * np.exp(-theta)  # gamma/2 = 1
         assert np.max(np.abs(c1 - expect)) < 1e-9
 
     def test_phase_winds_at_detuning(self):
-        params = SimParams(delta=3.0, gamma=2.0, t_end=1.0, dt=1e-3)
+        params = SimParams(gamma=2.0, t_end=1.0, dt=1e-3)
         sched = no_drive_schedule(1.0)
         traj = density_trajectory(sched, params)
-        c1, _ = correlator_row(0.0, rho_at(traj, 0), sched, params)
+        c1, _ = correlator_row(0.0, rho_at(traj, 0), sched, params, 3.0)
         theta = np.arange(c1.size) * params.dt
         phase = np.unwrap(np.angle(c1))
         assert np.max(np.abs(phase - 3.0 * theta)) < 1e-6
 
     def test_row_lengths_shrink_with_seed(self):
-        params = SimParams(delta=0.0, gamma=2.0, t_end=0.4, dt=0.1)
+        params = SimParams(gamma=2.0, t_end=0.4, dt=0.1)
         sched = no_drive_schedule(0.4)
         traj = density_trajectory(sched, params)
         for k in range(5):
-            c1, c2 = correlator_row(k * 0.1, rho_at(traj, k), sched, params)
+            c1, c2 = correlator_row(k * 0.1, rho_at(traj, k), sched, params, 0.0)
             assert c1.size == c2.size == 5 - k
 
     def test_rejects_off_grid_seed(self):
-        params = SimParams(delta=0.0, gamma=2.0, t_end=1.0, dt=1e-3)
+        params = SimParams(gamma=2.0, t_end=1.0, dt=1e-3)
         sched = no_drive_schedule(1.0)
         with pytest.raises(ValueError, match="grid"):
             correlator_row(0.00042, rho_at(density_trajectory(sched, params), 0),
-                           sched, params)
+                           sched, params, 0.0)
 
 
 class TestAccumulateKernel:
     def test_g1_zero_is_integrated_excited_population(self):
-        params = SimParams(delta=0.0, gamma=2.0, t_end=4.0, dt=1e-3)
-        kern = accumulate_kernel(no_drive_schedule(4.0), params)
+        params = SimParams(gamma=2.0, t_end=4.0, dt=1e-3)
+        kern = accumulate_kernel(no_drive_schedule(4.0), params, [0.0], [1.0])
         assert kern.g1[0].imag == 0.0
         assert kern.g1[0].real == pytest.approx((1 - math.exp(-8.0)) / 2, abs=1e-5)
 
     def test_apex_is_single_sample(self):
-        params = SimParams(delta=0.0, gamma=2.0, t_end=4.0, dt=1e-3)
-        kern = accumulate_kernel(no_drive_schedule(4.0), params)
+        params = SimParams(gamma=2.0, t_end=4.0, dt=1e-3)
+        kern = accumulate_kernel(no_drive_schedule(4.0), params, [0.0], [1.0])
         # only the t=0 row reaches theta=T, carrying its half weight
         assert abs(kern.g1[-1]) <= 0.5 * params.dt * math.exp(-4.0) * 1.01
 
     def test_free_kernel_matches_analytic_form(self):
         delta, gamma, t_end = 2.5, 2.0, 2.0
-        params = SimParams(delta=delta, gamma=gamma, t_end=t_end, dt=1e-3)
-        kern = accumulate_kernel(no_drive_schedule(t_end), params)
+        params = SimParams(gamma=gamma, t_end=t_end, dt=1e-3)
+        kern = accumulate_kernel(no_drive_schedule(t_end), params, [delta], [1.0])
         theta = kern.theta_grid
         # G1(theta) = e^{(i d - g/2) th} * int_0^{T-th} e^{-g t} dt
         weight = (1 - np.exp(-gamma * (t_end - theta))) / gamma
@@ -113,8 +112,8 @@ class TestAccumulateKernel:
 
     def test_hermiticity_sum_at_theta_zero(self):
         sched = uhrig_schedule(6, 2.0)
-        params = SimParams(delta=3.0, gamma=2.0, t_end=2.0, dt=1e-3)
-        kern = accumulate_kernel(sched, params)
+        params = SimParams(gamma=2.0, t_end=2.0, dt=1e-3)
+        kern = accumulate_kernel(sched, params, [3.0], [1.0])
         assert kern.g1[0].real >= 0 and kern.g2[0].real >= 0
         assert kern.g1[0].imag == pytest.approx(0.0, abs=1e-12)
         assert (kern.g1[0] + kern.g2[0]).real == pytest.approx(2.0, abs=1e-9)
@@ -122,8 +121,8 @@ class TestAccumulateKernel:
     def test_matches_per_row_double_loop(self):
         # the vectorized antidiagonal reduction against the reference path
         sched = uhrig_schedule(3, 0.5)  # pulse times off the step lattice
-        params = SimParams(delta=1.7, gamma=2.0, t_end=0.5, dt=1e-2)
-        kern = accumulate_kernel(sched, params)
+        params = SimParams(gamma=2.0, t_end=0.5, dt=1e-2)
+        kern = accumulate_kernel(sched, params, [1.7], [1.0])
         n, dt = params.n_steps, params.dt
         w = np.full(n + 1, dt)
         w[0] = w[-1] = dt / 2
@@ -131,7 +130,7 @@ class TestAccumulateKernel:
         g1 = np.zeros(n + 1, dtype=complex)
         g2 = np.zeros(n + 1, dtype=complex)
         for k in range(n + 1):
-            c1, c2 = correlator_row(k * dt, rho_at(traj, k), sched, params)
+            c1, c2 = correlator_row(k * dt, rho_at(traj, k), sched, params, 1.7)
             g1[:c1.size] += w[k] * c1
             g2[:c2.size] += w[k] * c2
         assert np.max(np.abs(kern.g1 - g1)) < 1e-12
@@ -142,22 +141,22 @@ class TestAccumulateKernel:
         # integrand (gamma tiny would be needed) we instead check weights:
         # G2(theta) for free decay approaches sum of w_k over the triangle as
         # rho_gg -> 1, up to the decay transient
-        params = SimParams(delta=0.0, gamma=2.0, t_end=1.0, dt=0.25)
-        kern = accumulate_kernel(no_drive_schedule(1.0), params)
+        params = SimParams(gamma=2.0, t_end=1.0, dt=0.25)
+        kern = accumulate_kernel(no_drive_schedule(1.0), params, [0.0], [1.0])
         assert kern.g1.shape == kern.g2.shape == kern.theta_grid.shape
         assert kern.theta_grid[-1] == pytest.approx(1.0)
 
     def test_deterministic(self):
         sched = periodic_schedule([PulseAxis.X, PulseAxis.Y], 0.2, 4)
-        params = SimParams(delta=3.0, gamma=2.0, t_end=0.8, dt=1e-3)
-        a = accumulate_kernel(sched, params)
-        b = accumulate_kernel(sched, params)
+        params = SimParams(gamma=2.0, t_end=0.8, dt=1e-3)
+        a = accumulate_kernel(sched, params, [3.0], [1.0])
+        b = accumulate_kernel(sched, params, [3.0], [1.0])
         assert np.array_equal(a.g1, b.g1) and np.array_equal(a.g2, b.g2)
 
     def test_carries_run_metadata(self):
         sched = periodic_schedule([PulseAxis.Z], 0.2, 3)
-        params = SimParams(delta=1.0, gamma=2.0, t_end=0.6, dt=1e-3)
-        kern = accumulate_kernel(sched, params)
+        params = SimParams(gamma=2.0, t_end=0.6, dt=1e-3)
+        kern = accumulate_kernel(sched, params, [1.0], [1.0])
         assert kern.params is params
         assert kern.schedule_digest == sched.digest()
 
@@ -168,7 +167,7 @@ class TestCoarseBruteForce:
     def setup_method(self):
         self.sched = PulseSchedule(events=(PulseEvent(0.2, PulseAxis.X),),
                                    window_end=0.4)
-        self.params = SimParams(delta=1.3, gamma=2.0, t_end=0.4, dt=0.1)
+        self.params = SimParams(gamma=2.0, t_end=0.4, dt=0.1)
 
     def _segments(self, vec, t0, t1):
         # independent evolution: RK4 propagator + explicit pulse map; on
@@ -191,7 +190,7 @@ class TestCoarseBruteForce:
         return xp(v) if abs(t1 - 0.2) < 1e-12 else v
 
     def test_exact_kernel_vs_brute_force(self):
-        kern = accumulate_kernel(self.sched, self.params)
+        kern = accumulate_kernel(self.sched, self.params, [1.3], [1.0])
         n, dt = 4, 0.1
         w = np.full(n + 1, dt)
         w[0] = w[-1] = dt / 2
@@ -214,7 +213,7 @@ class TestCoarseBruteForce:
         assert np.max(np.abs(kern.g2 - g2)) < 1e-12
 
     def test_default_kernel_vs_row_loop(self):
-        kern = accumulate_kernel(self.sched, self.params)
+        kern = accumulate_kernel(self.sched, self.params, [1.3], [1.0])
         traj = density_trajectory(self.sched, self.params)
         n, dt = 4, 0.1
         w = np.full(n + 1, dt)
@@ -222,7 +221,7 @@ class TestCoarseBruteForce:
         g1 = np.zeros(n + 1, dtype=complex)
         g2 = np.zeros(n + 1, dtype=complex)
         for k in range(n + 1):
-            c1, c2 = correlator_row(k * dt, rho_at(traj, k), self.sched, self.params)
+            c1, c2 = correlator_row(k * dt, rho_at(traj, k), self.sched, self.params, 1.3)
             g1[:c1.size] += w[k] * c1
             g2[:c2.size] += w[k] * c2
         assert np.max(np.abs(kern.g1 - g1)) < 1e-12
@@ -234,7 +233,7 @@ AXES = st.sampled_from([PulseAxis.X, PulseAxis.Y, PulseAxis.Z])
 
 @st.composite
 def coarse_runs(draw):
-    """A schedule on a coarse grid with the awkward pulse placements.
+    """A schedule on a coarse grid with the awkward pulse placements, and a detuning.
 
     Every draw holds a pulse within TIME_SNAP of a grid point, two pulses in
     one dt interval and random off-grid pulses; some end with a pulse at T.
@@ -256,16 +255,16 @@ def coarse_runs(draw):
     events = tuple(PulseEvent(t, draw(AXES)) for t in sorted(times))
     delta = draw(st.floats(-8.0, 8.0))
     return (PulseSchedule(events=events, window_end=t_end),
-            SimParams(delta=delta, gamma=2.0, t_end=t_end, dt=dt))
+            SimParams(gamma=2.0, t_end=t_end, dt=dt), delta)
 
 
 class TestKernelAgainstOracles:
     @settings(max_examples=40, deadline=None)
     @given(run=coarse_runs())
     def test_matches_row_loop_on_random_schedules(self, run):
-        sched, params = run
-        kern = accumulate_kernel(sched, params)
-        g1, g2 = row_loop_kernel(sched, params)
+        sched, params, delta = run
+        kern = accumulate_kernel(sched, params, [delta], [1.0])
+        g1, g2 = row_loop_kernel(sched, params, delta)
         assert np.max(np.abs(kern.g1 - g1)) < 1e-12
         assert np.max(np.abs(kern.g2 - g2)) < 1e-12
 
@@ -277,8 +276,8 @@ class TestKernelAgainstOracles:
         sched = PulseSchedule(
             events=tuple(PulseEvent(float(t), PulseAxis.Z) for t in times),
             window_end=t_end)
-        params = SimParams(delta=delta, gamma=gamma, t_end=t_end, dt=dt)
-        kern = accumulate_kernel(sched, params)
+        params = SimParams(gamma=gamma, t_end=t_end, dt=dt)
+        kern = accumulate_kernel(sched, params, [delta], [1.0])
 
         # independent O(N^2) sum. Z pulses leave the populations alone and
         # negate the coherence; a step cut at a pulse is two RK4 steps. So
@@ -313,18 +312,18 @@ class TestKernelAgainstOracles:
         events = () if last_axis is None else (
             PulseEvent(0.5, PulseAxis.X), PulseEvent(t_end, last_axis))
         sched = PulseSchedule(events=events, window_end=t_end)
-        fine = SimParams(delta=0.0, t_end=t_end, dt=1e-3)
-        c1, c2 = correlator_row(0.0, op(ee=1.0), sched, fine)
+        fine = SimParams(t_end=t_end, dt=1e-3)
+        c1, c2 = correlator_row(0.0, op(ee=1.0), sched, fine, 0.0)
         assert c1.size == c2.size == fine.n_steps + 1
-        params = SimParams(delta=2.0, t_end=t_end, dt=1e-2)
-        kern = accumulate_kernel(sched, params)
-        g1, g2 = row_loop_kernel(sched, params)
+        params = SimParams(t_end=t_end, dt=1e-2)
+        kern = accumulate_kernel(sched, params, [2.0], [1.0])
+        g1, g2 = row_loop_kernel(sched, params, 2.0)
         assert np.max(np.abs(kern.g1 - g1)) < 1e-12
         assert np.max(np.abs(kern.g2 - g2)) < 1e-12
 
     @staticmethod
     def dense_run():
-        """61 pulses and 61 stretches on a 90-step grid.
+        """61 pulses and 61 stretches on a 90-step grid, at detuning 2.5.
 
         Alternating X/Y pulses switch the column at every boundary; a run of Z
         pulses keeps it, so both sides of those boundaries share one slice.
@@ -342,21 +341,21 @@ class TestKernelAgainstOracles:
         pulses += [(n * dt, PulseAxis.Y)]
         sched = PulseSchedule(tuple(PulseEvent(t, axis) for t, axis in pulses),
                               window_end=n * dt)
-        return sched, SimParams(delta=2.5, gamma=2.0, t_end=n * dt, dt=dt)
+        return sched, SimParams(gamma=2.0, t_end=n * dt, dt=dt), 2.5
 
     def test_dense_train_matches_row_loop(self):
-        sched, params = self.dense_run()
-        s = dynamics.grid_state(sched, params)
+        sched, params, delta = self.dense_run()
+        s = dynamics.grid_state(sched, params, [delta])
         assert len(sched.events) == 61 and s.starts.size == 61
         same = s.columns[1:] == s.columns[:-1]
         assert same.sum() >= 20 and (~same).sum() >= 30
-        kern = accumulate_kernel(sched, params)
-        g1, g2 = row_loop_kernel(sched, params)
+        kern = accumulate_kernel(sched, params, [delta], [1.0])
+        g1, g2 = row_loop_kernel(sched, params, delta)
         assert np.max(np.abs(kern.g1 - g1)) < 1e-12
         assert np.max(np.abs(kern.g2 - g2)) < 1e-12
 
     def test_dense_train_mixture_matches_per_detuning_runs(self):
-        sched, params = self.dense_run()
+        sched, params, _ = self.dense_run()
         deltas, weights = [-1.5, 0.5, 4.0], [0.3, 0.0, 0.7]
         grid = default_omega_grid()
         avg = detuning_average(sched, params, deltas, weights, grid)
@@ -371,8 +370,8 @@ class TestKernelAgainstOracles:
         for module in (pulsespec, correlations, dynamics):
             monkeypatch.setattr(module, "density_trajectory", forbidden,
                                 raising=False)
-        kern = accumulate_kernel(uhrig_schedule(6, 2.0),
-                                 SimParams(delta=3.0, t_end=2.0, dt=1e-2))
+        kern = accumulate_kernel(uhrig_schedule(6, 2.0), SimParams(t_end=2.0, dt=1e-2),
+                                 [3.0], [1.0])
         assert kern.g1[0].real > 0
 
 
@@ -392,7 +391,7 @@ class TestAgainstPrefixSums:
     """The impulse kernel against the per-stretch prefix sums it replaced."""
 
     @staticmethod
-    def check(sched, params, deltas=None, weights=None):
+    def check(sched, params, deltas, weights):
         kern = accumulate_kernel(sched, params, deltas, weights)
         for got, want in zip((kern.g1, kern.g2),
                              prefix_sum_kernel(sched, params, deltas, weights)):
@@ -401,31 +400,32 @@ class TestAgainstPrefixSums:
     @pytest.mark.parametrize("delta", [0.0, 3.0])
     @pytest.mark.parametrize("protocol", sorted(PAPER_SCHEDULES))
     def test_paper_protocols(self, protocol, delta):
-        self.check(PAPER_SCHEDULES[protocol],
-                   SimParams(delta=delta, gamma=2.0, t_end=2.4, dt=1e-3))
+        self.check(PAPER_SCHEDULES[protocol], SimParams(gamma=2.0, t_end=2.4, dt=1e-3),
+                   [delta], [1.0])
 
     def test_uhrig_24_over_a_long_window(self):
-        self.check(uhrig_schedule(24, 16.0),
-                   SimParams(delta=2.0, gamma=2.0, t_end=16.0, dt=1e-3))
+        self.check(uhrig_schedule(24, 16.0), SimParams(gamma=2.0, t_end=16.0, dt=1e-3),
+                   [2.0], [1.0])
 
     def test_decay_time_far_beyond_the_window(self):
-        self.check(uhrig_schedule(4, 1.0),
-                   SimParams(delta=3.0, gamma=1e-9, t_end=1.0, dt=1e-3))
+        self.check(uhrig_schedule(4, 1.0), SimParams(gamma=1e-9, t_end=1.0, dt=1e-3),
+                   [3.0], [1.0])
 
     def test_steps_longer_than_the_decay_time(self):
         # gamma dt = 1.5: the recurrence runs in blocks of one step, 2401 of them
-        self.check(uhrig_schedule(12, 2.4),
-                   SimParams(delta=3.0, gamma=1500.0, t_end=2.4, dt=1e-3))
+        self.check(uhrig_schedule(12, 2.4), SimParams(gamma=1500.0, t_end=2.4, dt=1e-3),
+                   [3.0], [1.0])
 
     @pytest.mark.parametrize("centre", [0.0, 3.0, 6.0])
     @pytest.mark.parametrize("protocol", ["pz", "uhrig"])
     def test_nine_detuning_mixtures(self, protocol, centre):
         self.check(PAPER_SCHEDULES[protocol],
-                   SimParams(delta=0.0, gamma=2.0, t_end=2.4, dt=1e-3),
+                   SimParams(gamma=2.0, t_end=2.4, dt=1e-3),
                    centre + NINE_OFFSETS, NINE_WEIGHTS)
 
     def test_dense_run(self):
-        self.check(*TestKernelAgainstOracles.dense_run())
+        sched, params, delta = TestKernelAgainstOracles.dense_run()
+        self.check(sched, params, [delta], [1.0])
 
     @pytest.mark.parametrize("delta", [0.0, 3.0])
     def test_dense_xy_train_against_long_double(self, delta):
@@ -436,22 +436,22 @@ class TestAgainstPrefixSums:
         # as S^2 T eps (about 3e-11 here), where the prefix sums round each
         # of their O(S) slices once and stay at S T eps.
         sched = periodic_schedule([PulseAxis.X, PulseAxis.Y], 0.01, 240)
-        params = SimParams(delta=delta, gamma=2.0, t_end=2.4, dt=1e-3)
-        n_stretches = dynamics.grid_state(sched, params).starts.size
+        params = SimParams(gamma=2.0, t_end=2.4, dt=1e-3)
+        n_stretches = dynamics.grid_state(sched, params, [delta]).starts.size
         assert n_stretches == 241
         eps, t_end = np.finfo(float).eps, params.t_end
-        exact = direct_sum_kernel(sched, params)
-        kern = accumulate_kernel(sched, params)
+        exact = direct_sum_kernel(sched, params, delta)
+        kern = accumulate_kernel(sched, params, [delta], [1.0])
         for got, want in zip((kern.g1, kern.g2), exact):
             assert np.max(np.abs(got - want)) <= n_stretches ** 2 * t_end * eps
-        for got, want in zip(prefix_sum_kernel(sched, params), exact):
+        for got, want in zip(prefix_sum_kernel(sched, params, [delta], [1.0]), exact):
             assert np.max(np.abs(got - want)) <= n_stretches * t_end * eps
 
 
 def x_train(times):
     """X pulses at ``times`` over [0, 1], on 100 steps of 0.01."""
     return (PulseSchedule(tuple(PulseEvent(t, PulseAxis.X) for t in times), window_end=1.0),
-            SimParams(delta=3.0, gamma=2.0, t_end=1.0, dt=0.01))
+            SimParams(gamma=2.0, t_end=1.0, dt=0.01))
 
 
 class TestStretchTable:
@@ -459,7 +459,7 @@ class TestStretchTable:
 
     def test_no_field_grows_with_the_step_count(self):
         sched = uhrig_schedule(12, 2.4)
-        coarse, fine = (dynamics.grid_state(sched, SimParams(delta=3.0, t_end=2.4, dt=dt))
+        coarse, fine = (dynamics.grid_state(sched, SimParams(t_end=2.4, dt=dt), [3.0])
                         for dt in (2e-3, 1e-3))
         for name, value in fine._asdict().items():
             if isinstance(value, np.ndarray):
@@ -476,18 +476,18 @@ class TestStretchTable:
         return (w * traj.ee).sum(), (w * traj.gg).sum()
 
     @pytest.mark.parametrize("run", [
-        *((PAPER_SCHEDULES[p], SimParams(delta=3.0, gamma=2.0, t_end=2.4, dt=1e-3))
+        *((PAPER_SCHEDULES[p], SimParams(gamma=2.0, t_end=2.4, dt=1e-3))
           for p in sorted(PAPER_SCHEDULES)),
         # gamma dt = 1e-12, where 1 - q^L would cancel and expm1 does not
-        (uhrig_schedule(4, 1.0), SimParams(delta=3.0, gamma=1e-9, t_end=1.0, dt=1e-3)),
-        (uhrig_schedule(12, 2.4), SimParams(delta=3.0, gamma=1500.0, t_end=2.4, dt=1e-3)),
+        (uhrig_schedule(4, 1.0), SimParams(gamma=1e-9, t_end=1.0, dt=1e-3)),
+        (uhrig_schedule(12, 2.4), SimParams(gamma=1500.0, t_end=2.4, dt=1e-3)),
         x_train([0.035, 0.045]),  # the stretch [4, 5) has one row
         x_train([0.005, 0.995]),  # pulses in the first and last grid intervals
         x_train([0.5, 1.0]),  # a pulse exactly at T
     ], ids=[*sorted(PAPER_SCHEDULES), "gamma-dt-1e-12", "gamma-dt-1.5", "one-row",
             "first-and-last-interval", "pulse-at-T"])
     def test_g_zero_is_the_trapezoid_over_the_trajectory(self, run):
-        kern = accumulate_kernel(*run)
+        kern = accumulate_kernel(*run, [3.0], [1.0])
         for got, want in zip((kern.g1[0], kern.g2[0]), self.trapezoid(*run)):
             assert got.imag == 0.0
             assert abs(got.real - want) <= 1e-14 * want
@@ -496,8 +496,8 @@ class TestStretchTable:
         # gamma dt = 1e-12 without pulses: G2(0) is about gamma T^2 / 2, 5e-10.
         # As at every lag, G2 is the constant part less G1, so it is exact to
         # eps of G1 + G2 = T, not of itself
-        run = no_drive_schedule(1.0), SimParams(delta=3.0, gamma=1e-9, t_end=1.0, dt=1e-3)
-        kern = accumulate_kernel(*run)
+        run = no_drive_schedule(1.0), SimParams(gamma=1e-9, t_end=1.0, dt=1e-3)
+        kern = accumulate_kernel(*run, [3.0], [1.0])
         ee, gg = self.trapezoid(*run)
         assert abs(kern.g1[0] - ee) <= 1e-14 * ee
         assert abs(kern.g2[0] - gg) <= 1e-14 * (ee + gg)
@@ -507,8 +507,8 @@ class TestStretchTable:
             raise AssertionError("the kernel or transform built a time grid")
 
         monkeypatch.setattr(SimParams, "time_grid", forbidden)
-        kern = accumulate_kernel(uhrig_schedule(6, 2.0),
-                                 SimParams(delta=3.0, t_end=2.0, dt=1e-2))
+        kern = accumulate_kernel(uhrig_schedule(6, 2.0), SimParams(t_end=2.0, dt=1e-2),
+                                 [3.0], [1.0])
         assert spectrum_from_kernel(kern, default_omega_grid()).emission.max() > 0
 
 
@@ -577,7 +577,7 @@ def mixtures(draw):
     Every mixture holds a repeated detuning and a detuning of weight zero,
     in random places.
     """
-    sched, params = draw(coarse_runs())
+    sched, params, _ = draw(coarse_runs())
     deltas = draw(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=4))
     deltas += [deltas[0], draw(st.floats(-8.0, 8.0))]
     raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(deltas) - 1,
@@ -607,7 +607,7 @@ class TestDetuningMixture:
 
         monkeypatch.setattr(correlations, "grid_state", counting)
         sched = uhrig_schedule(4, 1.0)
-        params = SimParams(delta=0.0, t_end=1.0, dt=1e-2)
+        params = SimParams(t_end=1.0, dt=1e-2)
         kern = accumulate_kernel(sched, params, [1.0, 2.0, 3.0, 2.0], [0.5, 0.0, 0.5, 0.0])
         assert seen == [[1.0, 3.0]]
         assert kern.params is params
@@ -622,7 +622,7 @@ class TestDetuningMixture:
 
         monkeypatch.setattr(correlations, "grid_state", counting)
         sched = uhrig_schedule(4, 1.0)
-        params = SimParams(delta=0.5, t_end=1.0, dt=1e-2)
+        params = SimParams(t_end=1.0, dt=1e-2)
         deltas = np.linspace(-2.0, 2.0, n_deltas)
         accumulate_kernel(sched, params, deltas, np.full(n_deltas, 1.0 / n_deltas))
         assert len(calls) == 1
@@ -633,13 +633,13 @@ class TestDetuningMixture:
         # dense run: a Z run on one column, two pulses in one grid interval,
         # pulses within TIME_SNAP of a grid point and one at T
         runs = [(periodic_schedule([PulseAxis.X, PulseAxis.Y], 0.01, 240),
-                 SimParams(delta=0.0, t_end=2.4, dt=1e-3)),
+                 SimParams(t_end=2.4, dt=1e-3)),
                 (periodic_schedule([PulseAxis.Y], 0.0537, 20),
-                 SimParams(delta=0.0, t_end=1.074, dt=1e-3)),
+                 SimParams(t_end=1.074, dt=1e-3)),
                 (PulseSchedule(tuple(PulseEvent(0.013 + 0.0973 * k, PulseAxis.Z)
                                      for k in range(1, 11)), window_end=1.0),
-                 SimParams(delta=0.0, t_end=1.0, dt=1e-2)),
-                TestKernelAgainstOracles.dense_run()]
+                 SimParams(t_end=1.0, dt=1e-2)),
+                TestKernelAgainstOracles.dense_run()[:2]]
         deltas = np.linspace(-3.0, 6.0, n_deltas)
         for sched, params in runs:
             got = dynamics.grid_state(sched, params, deltas)
@@ -656,7 +656,7 @@ class TestDetuningMixture:
         sched, params, deltas, _ = run
         many = dynamics.grid_state(sched, params, deltas)
         for d, delta in enumerate(deltas):
-            one = dynamics.grid_state(sched, replace(params, delta=float(delta)))
+            one = dynamics.grid_state(sched, params, [delta])
             assert np.array_equal(many.ee, one.ee) and np.array_equal(many.gg, one.gg)
             assert np.array_equal(many.starts, one.starts)
             assert np.array_equal(many.columns, one.columns)
@@ -670,13 +670,13 @@ class TestRandomScheduleInvariants:
     @given(run=coarse_runs())
     def test_trajectory_matches_interval_stepping(self, run):
         # oracle: evolve_operator from ee = 1, one grid interval at a time
-        sched, params = run
+        sched, params, delta = run
         traj = density_trajectory(sched, params)
         assert (traj.ee[0], traj.gg[0]) == (1.0, 0.0)
         rho = op(ee=1.0)
         for k in range(1, params.n_steps + 1):
             rho = evolve_operator(rho, traj.t_grid[k - 1], traj.t_grid[k], sched,
-                                  params)
+                                  params, delta)
             assert rho[0, 1] == rho[1, 0] == 0
             assert abs(rho[0, 0] - traj.ee[k]) < 1e-12
             assert abs(rho[1, 1] - traj.gg[k]) < 1e-12
@@ -684,7 +684,7 @@ class TestRandomScheduleInvariants:
     @settings(max_examples=40, deadline=None)
     @given(run=coarse_runs())
     def test_populations_conserve_trace_and_stay_in_range(self, run):
-        sched, params = run
+        sched, params, _ = run
         traj = density_trajectory(sched, params)
         assert np.max(np.abs(traj.ee + traj.gg - 1.0)) < 1e-12
         for pop in (traj.ee, traj.gg):
@@ -694,6 +694,6 @@ class TestRandomScheduleInvariants:
     @given(run=coarse_runs())
     def test_g_zero_sum_is_the_window(self, run):
         # G1(0) + G2(0) integrates rho_ee + rho_gg = 1 over [0, T]
-        sched, params = run
-        kern = accumulate_kernel(sched, params)
+        sched, params, delta = run
+        kern = accumulate_kernel(sched, params, [delta], [1.0])
         assert abs(kern.g1[0] + kern.g2[0] - params.t_end) < 1e-12 * params.t_end

@@ -11,6 +11,7 @@ from pulsespec import (
     PulseEvent,
     PulseSchedule,
     SimParams,
+    accumulate_kernel,
     density_trajectory,
     no_drive_schedule,
     periodic_schedule,
@@ -96,7 +97,7 @@ class TestFreeDerivative:
         # on the pipeline path the rates reach _free_step from SimParams
         for gamma in (0.0, -2.0):
             with pytest.raises(ValueError, match="gamma"):
-                SimParams(delta=0.0, gamma=gamma)
+                SimParams(gamma=gamma)
 
 
 class TestRK4:
@@ -163,9 +164,11 @@ class TestStableStep:
         assert named in str(info.value)
 
     def test_guards_the_pipeline(self):
-        params = SimParams(delta=3000.0, t_end=1.0, dt=1e-3)
+        params = SimParams(t_end=1.0, dt=1e-3)
         with pytest.raises(ValueError, match=r"\|delta\|=3000"):
-            density_trajectory(no_drive_schedule(1.0), params)
+            accumulate_kernel(no_drive_schedule(1.0), params, [3000.0], [1.0])
+        with pytest.raises(ValueError, match=r"gamma=2800,"):
+            density_trajectory(no_drive_schedule(1.0), SimParams(gamma=2800.0, t_end=1.0))
 
 
 class TestApplyPulse:
@@ -209,18 +212,18 @@ class TestEvolveOperator:
     """The oracle's own integrator: pulses split the lattice intervals."""
 
     def setup_method(self):
-        self.params = SimParams(delta=0.0, gamma=2.0, t_end=2.0, dt=1e-3)
+        self.params = SimParams(gamma=2.0, t_end=2.0, dt=1e-3)
 
     def test_free_decay(self):
         sched = no_drive_schedule(2.0)
-        out = evolve_operator(op(ee=1), 0.0, 2.0, sched, self.params)
+        out = evolve_operator(op(ee=1), 0.0, 2.0, sched, self.params, 0.0)
         assert out[0, 0] == pytest.approx(math.exp(-4.0), rel=1e-10)
 
     def test_single_x_pulse_matches_exact_composition(self):
         # oracle: exact propagator, pulse map, exact propagator
         sched = PulseSchedule(events=(PulseEvent(1.0, PulseAxis.X),),
                               window_end=2.0)
-        out = evolve_operator(op(ee=1), 0.0, 2.0, sched, self.params)
+        out = evolve_operator(op(ee=1), 0.0, 2.0, sched, self.params, 0.0)
         x = PAULI[PulseAxis.X]
         half = exact_oracle(op(ee=1), 1.0, 0.0, 2.0)
         ref = exact_oracle(x @ half @ x, 1.0, 0.0, 2.0)
@@ -230,47 +233,47 @@ class TestEvolveOperator:
 
     def test_chained_halves_match_single_run(self):
         sched = uhrig_schedule(4, 2.0)
-        params = SimParams(delta=2.0, gamma=2.0, t_end=2.0, dt=1e-3)
-        full = evolve_operator(op(ee=1), 0.0, 2.0, sched, params)
-        half = evolve_operator(op(ee=1), 0.0, 1.0, sched, params)
-        again = evolve_operator(half, 1.0, 2.0, sched, params)
+        params = SimParams(gamma=2.0, t_end=2.0, dt=1e-3)
+        full = evolve_operator(op(ee=1), 0.0, 2.0, sched, params, 2.0)
+        half = evolve_operator(op(ee=1), 0.0, 1.0, sched, params, 2.0)
+        again = evolve_operator(half, 1.0, 2.0, sched, params, 2.0)
         assert np.max(np.abs(full - again)) < 1e-12
 
     def test_boundary_convention(self):
         # a pulse exactly at the split point acts in the first leg only
         sched = PulseSchedule(events=(PulseEvent(1.0, PulseAxis.X),),
                               window_end=2.0)
-        first = evolve_operator(op(ee=1), 0.0, 1.0, sched, self.params)
+        first = evolve_operator(op(ee=1), 0.0, 1.0, sched, self.params, 0.0)
         assert first[0, 0] == pytest.approx(1 - math.exp(-2.0), rel=1e-9)  # post-pulse
-        second = evolve_operator(first, 1.0, 2.0, sched, self.params)
-        full = evolve_operator(op(ee=1), 0.0, 2.0, sched, self.params)
+        second = evolve_operator(first, 1.0, 2.0, sched, self.params, 0.0)
+        full = evolve_operator(op(ee=1), 0.0, 2.0, sched, self.params, 0.0)
         assert abs(second[0, 0] - full[0, 0]) < 1e-14
 
     def test_rejects_reversed_interval(self):
         sched = no_drive_schedule(2.0)
         with pytest.raises(ValueError, match="t_from"):
-            evolve_operator(op(ee=1), 1.5, 1.0, sched, self.params)
+            evolve_operator(op(ee=1), 1.5, 1.0, sched, self.params, 0.0)
 
     def test_linearity(self):
         sched = periodic_schedule([PulseAxis.X, PulseAxis.Y], 0.25, 4)
-        params = SimParams(delta=1.5, gamma=2.0, t_end=1.0, dt=1e-3)
+        params = SimParams(gamma=2.0, t_end=1.0, dt=1e-3)
         rng = np.random.default_rng(3)
         a, b = random_operator(rng), random_operator(rng)
         al, be = 0.7, -1.3 + 0.4j
-        ea = evolve_operator(a, 0.0, 1.0, sched, params)
-        eb = evolve_operator(b, 0.0, 1.0, sched, params)
-        ec = evolve_operator(al * a + be * b, 0.0, 1.0, sched, params)
+        ea = evolve_operator(a, 0.0, 1.0, sched, params, 1.5)
+        eb = evolve_operator(b, 0.0, 1.0, sched, params, 1.5)
+        ec = evolve_operator(al * a + be * b, 0.0, 1.0, sched, params, 1.5)
         assert np.max(np.abs(ec - (al * ea + be * eb))) < 1e-12
 
 
 class TestDensityTrajectory:
     def test_free_decay_grid_values(self):
-        params = SimParams(delta=0.0, gamma=2.0, t_end=2.0, dt=1e-3)
+        params = SimParams(gamma=2.0, t_end=2.0, dt=1e-3)
         traj = density_trajectory(no_drive_schedule(2.0), params)
         assert np.max(np.abs(traj.ee - np.exp(-2.0 * traj.t_grid))) < 1e-9
 
     def test_x_train_populations_swap(self):
-        params = SimParams(delta=0.0, gamma=2.0, t_end=1.0, dt=1e-3)
+        params = SimParams(gamma=2.0, t_end=1.0, dt=1e-3)
         traj = density_trajectory(periodic_schedule([PulseAxis.X], 0.5, 2), params)
         k = round(0.5 / params.dt)
         # the stored value at k is post-pulse
@@ -278,7 +281,7 @@ class TestDensityTrajectory:
         assert traj.ee[k] == pytest.approx(1 - math.exp(-1.0), abs=1e-3)
 
     def test_z_train_leaves_populations_free(self):
-        params = SimParams(delta=1.0, gamma=2.0, t_end=1.2, dt=1e-3)
+        params = SimParams(gamma=2.0, t_end=1.2, dt=1e-3)
         with_z = density_trajectory(periodic_schedule([PulseAxis.Z], 0.2, 6), params)
         free = density_trajectory(no_drive_schedule(1.2), params)
         # pulse times split the step walk, so only ulp-level differences remain
@@ -293,7 +296,7 @@ class TestDensityTrajectory:
     ])
     def test_states_stay_physical(self, make):
         sched = make()
-        params = SimParams(delta=3.0, gamma=2.0, t_end=1.0, dt=1e-3)
+        params = SimParams(gamma=2.0, t_end=1.0, dt=1e-3)
         traj = density_trajectory(sched, params)
         for ee, gg in zip(traj.ee[::50], traj.gg[::50]):
             assert validate_density(op(ee=ee, gg=gg), tol=1e-9)

@@ -1,7 +1,6 @@
 """Spectra: Fourier quadrature, sum rule, detuning averaging, peak tools."""
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,8 +65,8 @@ PAPER_SCHEDULES = {
 
 @pytest.fixture(scope="module")
 def free_decay():
-    params = SimParams(delta=0.0, gamma=2.0, t_end=6.0, dt=1e-3)
-    kern = accumulate_kernel(no_drive_schedule(6.0), params)
+    params = SimParams(gamma=2.0, t_end=6.0, dt=1e-3)
+    kern = accumulate_kernel(no_drive_schedule(6.0), params, [0.0], [1.0])
     return params, kern, spectrum_from_kernel(kern, GRID)
 
 
@@ -79,13 +78,13 @@ class TestSpectrumFromKernel:
         assert p0 / p1 == pytest.approx(2.0, rel=0.03)
 
     def test_detuned_line_position(self):
-        params = SimParams(delta=3.0, gamma=2.0, t_end=6.0, dt=1e-3)
-        kern = accumulate_kernel(no_drive_schedule(6.0), params)
+        params = SimParams(gamma=2.0, t_end=6.0, dt=1e-3)
+        kern = accumulate_kernel(no_drive_schedule(6.0), params, [3.0], [1.0])
         spec = spectrum_from_kernel(kern, GRID)
         assert spec.omega[np.argmax(spec.emission)] == pytest.approx(3.0, abs=0.026)
 
     def test_zero_kernel_gives_zero_spectrum(self):
-        params = SimParams(delta=0.0, gamma=2.0, t_end=1.0, dt=0.1)
+        params = SimParams(gamma=2.0, t_end=1.0, dt=0.1)
         n = params.n_steps + 1
         kern = CorrelationKernel(g1=np.zeros(n, complex), g2=np.zeros(n, complex),
                                  params=params, schedule_digest="zero")
@@ -100,9 +99,8 @@ class TestSpectrumFromKernel:
 
     def test_emission_nonnegative_up_to_ripple(self):
         sched = periodic_schedule([PulseAxis.Z], 0.2, 6)
-        params = SimParams(delta=3.0, gamma=2.0, t_end=1.2, dt=1e-3)
-        spec = spectrum_from_kernel(accumulate_kernel(sched, params),
-                                    GRID)
+        params = SimParams(gamma=2.0, t_end=1.2, dt=1e-3)
+        spec = spectrum_from_kernel(accumulate_kernel(sched, params, [3.0], [1.0]), GRID)
         assert spec.emission.min() > -1e-6 * spec.emission.max()
 
     def test_rejects_bad_omega_grid(self, free_decay):
@@ -125,8 +123,8 @@ class TestSpectrumFromKernel:
     @pytest.mark.parametrize("delta", [0.0, 3.0, 8.0])
     @pytest.mark.parametrize("protocol", sorted(PAPER_SCHEDULES))
     def test_matches_dense_sum_on_paper_protocols(self, protocol, delta):
-        params = SimParams(delta=delta, gamma=2.0, t_end=2.4, dt=1e-2)
-        kern = accumulate_kernel(PAPER_SCHEDULES[protocol], params)
+        params = SimParams(gamma=2.0, t_end=2.4, dt=1e-2)
+        kern = accumulate_kernel(PAPER_SCHEDULES[protocol], params, [delta], [1.0])
         assert_matches_dense(kern, GRID)
 
     @pytest.mark.parametrize("lo, hi, step", [(-10.0, 10.0, 0.05),
@@ -134,15 +132,15 @@ class TestSpectrumFromKernel:
     def test_matches_dense_sum_on_a_long_free_decay(self, lo, hi, step):
         # N = 20001; on [960, 1040] only the far tail is seen (peak ~1e-6),
         # so the bound is set by sum |w G|, not by the column peak
-        params = SimParams(delta=0.0, gamma=2.0, t_end=20.0, dt=1e-3)
-        kern = accumulate_kernel(no_drive_schedule(20.0), params)
+        params = SimParams(gamma=2.0, t_end=20.0, dt=1e-3)
+        kern = accumulate_kernel(no_drive_schedule(20.0), params, [0.0], [1.0])
         assert_matches_dense(kern, default_omega_grid(lo, hi, step))
 
     @pytest.mark.parametrize("omega", [[3.0], [-1.0, 2.5],
                                        default_omega_grid(-1.0, 1.0, 1e-3)])
     def test_matches_dense_sum_on_short_and_fine_grids(self, omega):
-        params = SimParams(delta=3.0, gamma=2.0, t_end=2.4, dt=1e-2)
-        kern = accumulate_kernel(PAPER_SCHEDULES["pxpy"], params)
+        params = SimParams(gamma=2.0, t_end=2.4, dt=1e-2)
+        kern = accumulate_kernel(PAPER_SCHEDULES["pxpy"], params, [3.0], [1.0])
         assert_matches_dense(kern, omega)
 
     @pytest.mark.parametrize("n_steps, m", [(50, 31), (40, 35), (44, 36)])
@@ -151,26 +149,25 @@ class TestSpectrumFromKernel:
         # convolution length is exactly the FFT length. For (50, 31) the
         # length 80, one short, is 5-smooth too, and would wrap
         assert fft_length(n_steps + m) == n_steps + m
-        params = SimParams(delta=3.0, gamma=2.0, t_end=n_steps * 0.05, dt=0.05)
-        kern = accumulate_kernel(uhrig_schedule(5, params.t_end), params)
+        params = SimParams(gamma=2.0, t_end=n_steps * 0.05, dt=0.05)
+        kern = accumulate_kernel(uhrig_schedule(5, params.t_end), params, [3.0], [1.0])
         assert_matches_dense(kern, -7.0 + 0.4 * np.arange(m))
 
     @settings(max_examples=60, deadline=None)
     @given(start=st.floats(-200.0, 200.0), step=st.floats(1e-3, 5.0),
            size=st.integers(1, 300))
     def test_matches_dense_sum_on_random_grids(self, start, step, size):
-        params = SimParams(delta=3.0, gamma=2.0, t_end=2.4, dt=1e-2)
-        kern = accumulate_kernel(PAPER_SCHEDULES["uhrig"], params)
+        params = SimParams(gamma=2.0, t_end=2.4, dt=1e-2)
+        kern = accumulate_kernel(PAPER_SCHEDULES["uhrig"], params, [3.0], [1.0])
         assert_matches_dense(kern, start + np.arange(size) * step)
 
     def test_mirror_symmetry_under_detuning_flip_z_train(self):
         # P at detuning d equals P at -d reflected in omega
         sched = periodic_schedule([PulseAxis.Z], 0.2, 3)
         grid = default_omega_grid(-30, 30, 0.05)
-        spec_p = spectrum_from_kernel(
-            accumulate_kernel(sched, SimParams(delta=2.0, t_end=0.6, dt=1e-3)), grid)
-        spec_m = spectrum_from_kernel(
-            accumulate_kernel(sched, SimParams(delta=-2.0, t_end=0.6, dt=1e-3)), grid)
+        params = SimParams(t_end=0.6, dt=1e-3)
+        spec_p = spectrum_from_kernel(accumulate_kernel(sched, params, [2.0], [1.0]), grid)
+        spec_m = spectrum_from_kernel(accumulate_kernel(sched, params, [-2.0], [1.0]), grid)
         assert np.max(np.abs(spec_p.emission - spec_m.emission[::-1])) < 1e-9
         assert np.max(np.abs(spec_p.net_absorption
                              - spec_m.net_absorption[::-1])) < 1e-9
@@ -197,24 +194,24 @@ class TestFftLength:
         events = (PulseEvent(3 * dt, PulseAxis.X), PulseEvent(7.4 * dt, PulseAxis.Z),
                   PulseEvent(7.7 * dt, PulseAxis.Y), PulseEvent((n - 3) * dt, PulseAxis.Z))
         sched = PulseSchedule(events=events, window_end=n * dt)
-        params = SimParams(delta=2.5, gamma=2.0, t_end=n * dt, dt=dt)
-        kern = accumulate_kernel(sched, params)
-        g1, g2 = row_loop_kernel(sched, params)
+        params = SimParams(gamma=2.0, t_end=n * dt, dt=dt)
+        kern = accumulate_kernel(sched, params, [2.5], [1.0])
+        g1, g2 = row_loop_kernel(sched, params, 2.5)
         assert np.max(np.abs(kern.g1 - g1)) < 1e-12
         assert np.max(np.abs(kern.g2 - g2)) < 1e-12
 
 
 class TestSumRule:
     def test_free_decay_near_half(self):
-        params = SimParams(delta=0.0, gamma=2.0, t_end=10.0, dt=2e-3)
-        kern = accumulate_kernel(no_drive_schedule(10.0), params)
+        params = SimParams(gamma=2.0, t_end=10.0, dt=2e-3)
+        kern = accumulate_kernel(no_drive_schedule(10.0), params, [0.0], [1.0])
         spec = spectrum_from_kernel(kern, GRID)
         lhs, rhs = emission_sum_rule(spec)
         assert rhs == pytest.approx((1 - np.exp(-20.0)) / 2, abs=1e-5)
         assert lhs / rhs == pytest.approx(1.0, abs=0.02)
 
     def test_zero_kernel(self):
-        params = SimParams(delta=0.0, gamma=2.0, t_end=1.0, dt=0.1)
+        params = SimParams(gamma=2.0, t_end=1.0, dt=0.1)
         n = params.n_steps + 1
         kern = CorrelationKernel(g1=np.zeros(n, complex), g2=np.zeros(n, complex),
                                  params=params, schedule_digest="zero")
@@ -230,8 +227,8 @@ class TestSumRule:
     def test_warns_when_edges_carry_weight(self):
         # pulsed kernels have slow spectral tails well beyond +-40
         sched = periodic_schedule([PulseAxis.Z], 0.2, 3)
-        params = SimParams(delta=3.0, gamma=2.0, t_end=0.6, dt=1e-3)
-        kern = accumulate_kernel(sched, params)
+        params = SimParams(gamma=2.0, t_end=0.6, dt=1e-3)
+        kern = accumulate_kernel(sched, params, [3.0], [1.0])
         spec = spectrum_from_kernel(kern, GRID)
         with pytest.warns(UserWarning, match="widen"):
             emission_sum_rule(spec)
@@ -240,23 +237,20 @@ class TestSumRule:
 class TestDetuningAverage:
     def test_single_delta_matches_direct_run(self):
         sched = uhrig_schedule(3, 0.6)
-        params = SimParams(delta=3.0, gamma=2.0, t_end=0.6, dt=1e-3)
+        params = SimParams(gamma=2.0, t_end=0.6, dt=1e-3)
         avg = detuning_average(sched, params, np.array([3.0]), np.array([1.0]), GRID)
-        direct = spectrum_from_kernel(accumulate_kernel(sched, params),
-                                      GRID)
+        direct = spectrum_from_kernel(accumulate_kernel(sched, params, [3.0], [1.0]), GRID)
         assert np.max(np.abs(avg.emission - direct.emission)) < 1e-15
         assert np.max(np.abs(avg.net_absorption - direct.net_absorption)) < 1e-15
 
     def test_equals_weighted_mix_of_members(self):
         sched = no_drive_schedule(2.0)
-        params = SimParams(delta=0.0, gamma=2.0, t_end=2.0, dt=1e-3)
+        params = SimParams(gamma=2.0, t_end=2.0, dt=1e-3)
         deltas = np.array([1.0, 4.0])
         weights = np.array([0.25, 0.75])
         avg = detuning_average(sched, params, deltas, weights, GRID)
         parts = [
-            spectrum_from_kernel(
-                accumulate_kernel(sched, replace(params, delta=float(d))),
-                GRID)
+            spectrum_from_kernel(accumulate_kernel(sched, params, [d], [1.0]), GRID)
             for d in deltas
         ]
         mix = weights[0] * parts[0].emission + weights[1] * parts[1].emission
@@ -265,7 +259,7 @@ class TestDetuningAverage:
     def test_free_decay_average_is_lorentzian_mixture(self):
         # each detuning contributes its own shifted line
         sched = no_drive_schedule(6.0)
-        params = SimParams(delta=0.0, gamma=2.0, t_end=6.0, dt=1e-3)
+        params = SimParams(gamma=2.0, t_end=6.0, dt=1e-3)
         deltas = np.array([3.0, 4.0, 5.0, 6.0])
         weights = np.full(4, 0.25)
         avg = detuning_average(sched, params, deltas, weights, GRID)
@@ -278,7 +272,7 @@ class TestDetuningAverage:
 
     def test_uhrig_average_concentrates_at_carrier(self):
         sched = uhrig_schedule(12, 2.0)
-        params = SimParams(delta=0.0, gamma=2.0, t_end=2.0, dt=1e-3)
+        params = SimParams(gamma=2.0, t_end=2.0, dt=1e-3)
         avg = detuning_average(sched, params, np.array([3.0, 4.0, 5.0, 6.0]),
                                np.full(4, 0.25), GRID)
         om = avg.omega
@@ -289,7 +283,7 @@ class TestDetuningAverage:
 
     @pytest.mark.parametrize("protocol", sorted(PAPER_SCHEDULES))
     def test_matches_per_detuning_runs_on_paper_protocols(self, protocol):
-        params = SimParams(delta=0.0, gamma=2.0, t_end=2.4, dt=1e-3)
+        params = SimParams(gamma=2.0, t_end=2.4, dt=1e-3)
         deltas = 3.0 + np.linspace(-2.0, 2.0, 9)
         weights = np.array([1, 2, 3, 4, 5, 4, 3, 2, 1]) / 25
         avg = detuning_average(PAPER_SCHEDULES[protocol], params, deltas, weights, GRID)
@@ -307,7 +301,7 @@ class TestDetuningAverage:
             return spectrum_from_kernel(kernel, omega_grid)
 
         monkeypatch.setattr(spectra, "spectrum_from_kernel", counting)
-        params = SimParams(delta=0.0, t_end=1.2, dt=1e-2)
+        params = SimParams(t_end=1.2, dt=1e-2)
         detuning_average(periodic_schedule([PulseAxis.Z], 0.2, 6), params,
                          np.arange(5.0), np.full(5, 0.2), GRID)
         assert len(calls) == 1
@@ -315,7 +309,7 @@ class TestDetuningAverage:
 
     def test_weight_validation(self):
         sched = no_drive_schedule(1.0)
-        params = SimParams(delta=0.0, gamma=2.0, t_end=1.0, dt=1e-3)
+        params = SimParams(gamma=2.0, t_end=1.0, dt=1e-3)
         with pytest.raises(ValueError, match="sum to 1"):
             detuning_average(sched, params, np.array([1.0, 2.0]),
                              np.array([0.6, 0.6]), GRID)
@@ -331,7 +325,7 @@ class TestDetuningAverage:
         # a NaN weight fails every comparison, so only a finiteness check
         # keeps it from dropping out of the mixture unseen
         sched = no_drive_schedule(1.0)
-        params = SimParams(delta=0.0, t_end=1.0, dt=1e-2)
+        params = SimParams(t_end=1.0, dt=1e-2)
         deltas, weights = np.array([0.0, 2.0]), np.array([0.5, 0.5])
         if where == "delta":
             deltas[0] = bad
