@@ -36,11 +36,37 @@ from .dynamics import stable_step
 from .sequences import no_drive_schedule, periodic_schedule, uhrig_schedule
 from .spectra import detuning_average, emission_sum_rule
 
-PROTOCOLS = ("none", "px", "pxpy", "pz", "uhrig")
+#: protocol -> the schedule inputs it takes, of tau, t_end and n_pulses
+_TAKES = {"none": {"t_end"}, "px": {"tau", "n_pulses"}, "pxpy": {"tau", "n_pulses"},
+          "pz": {"tau", "n_pulses"}, "uhrig": {"t_end", "n_pulses"}}
+PROTOCOLS = tuple(_TAKES)
 OBSERVABLES = ("emission", "absorption", "both")
 _PERIODIC = {"px": [PulseAxis.X], "pxpy": [PulseAxis.X, PulseAxis.Y],
              "pz": [PulseAxis.Z]}
 CSV_HEADER = "omega,emission,direct_absorption,net_absorption"
+
+#: RunConfig field -> argparse keywords of its flag, one entry per run input.
+#: The flag is ``--name`` with '-' for '_', and the config-file key is the
+#: field name; ``output_path`` is ``--output``/``-o`` and ``output``.
+_FLAGS = {
+    "protocol": dict(choices=PROTOCOLS),
+    "delta": dict(type=float),
+    "gamma": dict(type=float),
+    "n_pulses": dict(type=int),
+    "tau": dict(type=float),
+    "t_end": dict(type=float),
+    "dt": dict(type=float),
+    "omega_min": dict(type=float),
+    "omega_max": dict(type=float),
+    "omega_step": dict(type=float),
+    "observable": dict(choices=OBSERVABLES),
+    "output_path": dict(metavar="CSV"),
+    "average_deltas": dict(metavar="D:W,D:W,...",
+                           help="detuning:weight pairs for ensemble averaging"),
+    "plot_script": dict(metavar="FILE", help="also write a gnuplot script referencing the CSV"),
+}
+#: config-file key -> RunConfig field
+_KEYS = {("output" if field == "output_path" else field): field for field in _FLAGS}
 
 
 class ConfigError(ValueError):
@@ -49,8 +75,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    protocol: str
-    output_path: str
+    """The run inputs, a field per ``_FLAGS`` entry in its order; ``validate`` checks them."""
+
+    protocol: str | None = None
     delta: float | None = None  # 0 for a single run; not set with average_deltas
     gamma: float = 2.0
     n_pulses: int | None = None
@@ -61,6 +88,7 @@ class RunConfig:
     omega_max: float = 40.0
     omega_step: float = 0.025
     observable: str = "both"
+    output_path: str | None = None
     average_deltas: list[tuple[float, float]] | None = None
     plot_script: str | None = None
 
@@ -70,33 +98,27 @@ class RunConfig:
         The mixture is ``check_mixture`` of the ``average_deltas`` pairs, or of
         delta (0 if unset) with weight one; its errors name that flag.
         """
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError(
-                f"protocol: must be one of {'/'.join(PROTOCOLS)}, got {self.protocol!r}"
-            )
-        periodic = self.protocol in _PERIODIC
-        if periodic and self.tau is None:
-            raise ConfigError(f"tau: required for protocol {self.protocol!r}")
-        if not periodic and self.tau is not None:
-            raise ConfigError(f"tau: not applicable to protocol {self.protocol!r}")
-        if not periodic and self.t_end is None:
-            raise ConfigError(f"t_end: required for protocol {self.protocol!r}")
-        if periodic and self.t_end is not None:
-            raise ConfigError(
-                f"t_end: derived as n_pulses*tau for protocol {self.protocol!r}, "
-                f"do not set it"
-            )
-        if self.protocol != "none" and self.n_pulses is None:
-            raise ConfigError(f"n_pulses: required for protocol {self.protocol!r}")
-        if self.protocol == "none" and self.n_pulses is not None:
-            raise ConfigError("n_pulses: not applicable to protocol 'none'")
-        if self.observable not in OBSERVABLES:
-            raise ConfigError(
-                f"observable: must be one of {'/'.join(OBSERVABLES)}, "
-                f"got {self.observable!r}"
-            )
+        if self.protocol is None:
+            raise ConfigError("protocol: required")
         if not self.output_path:
             raise ConfigError("output: required")
+        if self.protocol not in PROTOCOLS:
+            raise ConfigError(f"protocol: must be one of {'/'.join(PROTOCOLS)}, "
+                              f"got {self.protocol!r}")
+        takes = _TAKES[self.protocol]
+        for name in ("tau", "t_end", "n_pulses"):
+            given = vars(self)[name] is not None
+            if name in takes and not given:
+                raise ConfigError(f"{name}: required for protocol {self.protocol!r}")
+            if given and name not in takes:  # only the periodic protocols derive t_end
+                raise ConfigError(
+                    f"{name}: derived as n_pulses*tau for protocol {self.protocol!r}, "
+                    f"do not set it" if name == "t_end" else
+                    f"{name}: not applicable to protocol {self.protocol!r}"
+                )
+        if self.observable not in OBSERVABLES:
+            raise ConfigError(f"observable: must be one of {'/'.join(OBSERVABLES)}, "
+                              f"got {self.observable!r}")
         if self.plot_script and os.path.realpath(self.plot_script) in {
                 os.path.realpath(self.output_path + end) for end in ("", ".meta")}:
             raise ConfigError("plot_script: must differ from the output CSV and its .meta")
@@ -138,24 +160,12 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> _Parser:
+    """The parser of ``--config`` and of one flag per ``_FLAGS`` entry, default None."""
     p = _Parser(prog="pulsespec", add_help=True, description=__doc__)
     p.add_argument("--config", metavar="FILE", help="key=value configuration file")
-    p.add_argument("--protocol", choices=PROTOCOLS)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--n-pulses", type=int, dest="n_pulses")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--omega-min", type=float, dest="omega_min")
-    p.add_argument("--omega-max", type=float, dest="omega_max")
-    p.add_argument("--omega-step", type=float, dest="omega_step")
-    p.add_argument("--observable", choices=OBSERVABLES)
-    p.add_argument("--output", "-o", dest="output_path", metavar="CSV")
-    p.add_argument("--average-deltas", dest="average_deltas", metavar="D:W,D:W,...",
-                   help="detuning:weight pairs for ensemble averaging")
-    p.add_argument("--plot-script", dest="plot_script", metavar="FILE",
-                   help="also write a gnuplot script referencing the CSV")
+    for field, kwargs in _FLAGS.items():
+        flags = ["--" + field.replace("_", "-")] if field != "output_path" else ["--output", "-o"]
+        p.add_argument(*flags, dest=field, **kwargs)
     return p
 
 
@@ -177,27 +187,12 @@ def _parse_average(text: str) -> list[tuple[float, float]]:
     return pairs
 
 
-@functools.cache
-def _config_keys() -> dict[str, tuple[str, type]]:
-    """Config-file key -> (RunConfig field, value parser), one per flag.
-
-    Read off the parser's own flags, so each key is declared once; the file
-    key is the field name, except ``output`` for ``output_path``.
-    """
-    keys = {}
-    for action in _build_parser()._actions:
-        if action.dest in ("help", "config"):
-            continue
-        key = "output" if action.dest == "output_path" else action.dest
-        keys[key] = (action.dest, action.type or str)
-    return keys
-
-
-def _read_config_file(path: str, keys: dict) -> dict:
-    """Values of a UTF-8 key=value file, by RunConfig field; ``keys`` as _config_keys."""
+def _read_config_file(path: str) -> dict:
+    """Values of a UTF-8 key=value file, by RunConfig field (keys as ``_KEYS``)."""
     try:
         with open(path, encoding="utf-8") as f:
-            text = f.read()
+            # a byte-order mark is dropped after decoding, so an offset below counts it
+            text = f.read().removeprefix("\ufeff")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -211,42 +206,28 @@ def _read_config_file(path: str, keys: dict) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in keys:
+        key, value = key.strip(), value.strip()
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        dest, parse = keys[key]
+        field = _KEYS[key]
         try:
-            values[dest] = parse(value)
+            values[field] = _FLAGS[field].get("type", str)(value)
         except ValueError:
-            raise ConfigError(
-                f"{path}:{lineno}: {key}: cannot parse {value!r}"
-            ) from None
+            raise ConfigError(f"{path}:{lineno}: {key}: cannot parse {value!r}") from None
     return values
 
 
 def parse_config(args: list[str]) -> RunConfig:
-    """Resolve, not validate, a RunConfig from flags over an optional ``--config`` file."""
-    ns = _build_parser().parse_args(args)
-    keys = _config_keys()
-    merged = _read_config_file(ns.config, keys) if ns.config else {}
-    for dest, _ in keys.values():
-        flag = getattr(ns, dest)
-        if flag is not None:
-            merged[dest] = flag
+    """Resolve, not validate, a RunConfig: the ``--config`` file's values, then the flags given.
 
-    if "protocol" not in merged:
-        raise ConfigError("protocol: required")
-    if "output_path" not in merged:
-        raise ConfigError("output: required")
-    if isinstance(merged.get("average_deltas"), str):
+    A flag wins over the file's value of the same input.
+    """
+    ns = vars(_build_parser().parse_args(args))
+    merged = _read_config_file(ns["config"]) if ns["config"] else {}
+    merged.update((field, ns[field]) for field in _FLAGS if ns[field] is not None)
+    if "average_deltas" in merged:
         merged["average_deltas"] = _parse_average(merged["average_deltas"])
-
-    defaults = RunConfig(protocol=merged["protocol"],
-                         output_path=merged["output_path"])
-    for key, value in merged.items():
-        setattr(defaults, key, value)
-    return defaults
+    return RunConfig(**merged)
 
 
 #: the four ASCII digits of 0..9999 as uint8 rows, by broadcasting (no division)
@@ -329,61 +310,59 @@ def _write_csv(path: str, spec: SpectrumResult) -> None:
         f.write(b"\n")
 
 
+def _meta_value(value) -> str:
+    return "" if value is None else value if isinstance(value, str) else format(value, ".17g")
+
+
 def _write_metadata(path: str, config: RunConfig, spec: SpectrumResult, deltas: np.ndarray,
                     sum_rule: tuple[float, float] | None, notes: list[str]) -> None:
-    """Write the .meta record; ``deltas`` are the detunings computed, from ``validate``."""
-    params, averaged = spec.kernel.params, config.average_deltas is not None
+    """Write the .meta record; ``deltas`` are the detunings computed, from ``validate``.
+
+    It opens with the RunConfig fields but the output paths, delta, t_end and
+    average_deltas as resolved (delta empty for an average); ``_meta_value``
+    writes every value.
+    """
+    params = spec.kernel.params
     pairs = ",".join(f"{d:.17g}:{w:.17g}" for d, w in config.average_deltas or ())
-    lines = [
-        f"protocol={config.protocol}",
-        f"delta={'' if averaged else format(deltas[0], '.17g')}",
-        f"gamma={config.gamma:.17g}",
-        f"n_pulses={'' if config.n_pulses is None else config.n_pulses}",
-        f"tau={'' if config.tau is None else format(config.tau, '.17g')}",
-        f"t_end={params.t_end:.17g}",
-        f"dt={config.dt:.17g}",
-        f"omega_min={config.omega_min:.17g}",
-        f"omega_max={config.omega_max:.17g}",
-        f"omega_step={config.omega_step:.17g}",
-        f"observable={config.observable}",
-        f"average_deltas={pairs}",
-        f"schedule_digest={spec.kernel.schedule_digest}" + (f" avg[{pairs}]" if averaged else ""),
-    ]
+    record = dict(vars(config), delta=None if pairs else deltas[0], t_end=params.t_end,
+                  average_deltas=pairs)
+    del record["output_path"], record["plot_script"]
+    record["schedule_digest"] = spec.kernel.schedule_digest + (f" avg[{pairs}]" if pairs else "")
     if sum_rule is not None:
-        lines.append(f"sum_rule_lhs={sum_rule[0]:.17g}")
-        lines.append(f"sum_rule_rhs={sum_rule[1]:.17g}")
-    lines.append("kernel_method=stretch-impulses")
-    lines.append("transform_method=chirp-z")
-    lines.append(f"warnings={' | '.join(notes)}")
-    lines.append(f"n_steps={params.n_steps}")
-    lines.append(f"n_omega={spec.omega.size}")
-    lines.append(f"n_deltas={deltas.size}")
-    lines.append(f"pulsespec_version={__version__}")
-    lines.append(f"numpy_version={np.__version__}")
+        record["sum_rule_lhs"], record["sum_rule_rhs"] = sum_rule
+    record.update(kernel_method="stretch-impulses", transform_method="chirp-z",
+                  warnings=" | ".join(notes), n_steps=params.n_steps, n_omega=spec.omega.size,
+                  n_deltas=deltas.size, pulsespec_version=__version__,
+                  numpy_version=np.__version__)
     with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("".join(f"{key}={_meta_value(value)}\n" for key, value in record.items()))
 
 
 _PLOT_COLUMNS = {
-    "emission": [("emission", 2)],
-    "absorption": [("net absorption", 4)],
-    "both": [("emission", 2), ("net absorption", 4)],
+    "emission": [(b"emission", 2)],
+    "absorption": [(b"net absorption", 4)],
+    "both": [(b"emission", 2), (b"net absorption", 4)],
 }
 
 
 def _write_plot_script(path: str, csv_path: str, observable: str) -> None:
-    curves = ", ".join(
-        f"'{csv_path}' using 1:{col} with lines title '{label}'"
+    """Write a gnuplot script plotting the CSV, named by its file-system bytes.
+
+    Inside gnuplot's single quotes a quote is doubled.
+    """
+    quoted = os.fsencode(csv_path).replace(b"'", b"''")
+    curves = b", ".join(
+        b"'%s' using 1:%d with lines title '%s'" % (quoted, col, label)
         for label, col in _PLOT_COLUMNS[observable]
     )
     body = (
-        "set datafile separator ','\n"
-        "set xlabel 'omega'\n"
-        "set ylabel 'spectrum (arb. units)'\n"
-        "set key top right\n"
-        f"plot {curves}\n"
+        b"set datafile separator ','\n"
+        b"set xlabel 'omega'\n"
+        b"set ylabel 'spectrum (arb. units)'\n"
+        b"set key top right\n"
+        b"plot %s\n" % curves
     )
-    with open(path, "w", newline="\n") as f:
+    with open(path, "wb") as f:
         f.write(body)
 
 
@@ -419,7 +398,7 @@ def run(config: RunConfig) -> SpectrumResult:
         except ValueError:
             pass  # grid outside the sum rule's validity
     notes = [str(w.message) for w in caught]
-    if sum_rule is not None and sum_rule[1] != 0.0:
+    if sum_rule is not None:
         deviation = abs(sum_rule[0] / sum_rule[1] - 1.0)
         if deviation > 0.10:
             notes.append(f"emission sum rule off by {deviation:.1%} "
@@ -431,8 +410,7 @@ def run(config: RunConfig) -> SpectrumResult:
     _write_csv(config.output_path, spec)
     _write_metadata(config.output_path + ".meta", config, spec, deltas, sum_rule, notes)
     if config.plot_script:
-        _write_plot_script(config.plot_script, config.output_path,
-                           config.observable)
+        _write_plot_script(config.plot_script, config.output_path, config.observable)
     return spec
 
 

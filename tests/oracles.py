@@ -270,8 +270,7 @@ def prefix_sum_kernel(schedule, params, deltas, weights):
     n, dt = params.n_steps, params.dt
     w = np.full(n + 1, dt)
     w[0] = w[-1] = 0.5 * dt
-    used = weights > 0
-    s = grid_state(schedule, params, deltas[used])
+    s = grid_state(schedule, params, deltas)
     traj = density_trajectory(schedule, params)
     seeds = np.stack([w * traj.ee, w * traj.gg])
     # lam[c, d, f, k] = Lambda_c[k + 1] of family f at detuning d
@@ -289,7 +288,7 @@ def prefix_sum_kernel(schedule, params, deltas, weights):
     rev = np.zeros(lam.shape[1:], complex)
     for (m, c), x in terms.items():
         rev[:, :, n + 1 - m:] += lam[c, :, :, :m] * x[:, None, None]
-    envelope = weights[used, None] * exp_powers(s.rate + 1j * s.phase, n)
+    envelope = weights[:, None] * exp_powers(s.rate + 1j * s.phase, n)
     g = np.einsum("dj,dfj->fj", envelope, rev[:, :, ::-1])
     g[:, 0] = seeds.sum(axis=1)
     return g[0], g[1]

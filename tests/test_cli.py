@@ -4,6 +4,7 @@ import errno
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -162,7 +163,7 @@ def test_existing_outputs_are_overwritten(tmp_path):
 
 def write_config(tmp_path, text):
     path = tmp_path / "run.cfg"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -225,6 +226,69 @@ def test_bad_config_line_names_its_place(tmp_path, capsys, line, message):
     err = capsys.readouterr().err
     assert f"{cfg}:3: {message}" in err
     assert list(tmp_path.iterdir()) == [Path(cfg)]
+
+
+#: flags of a valid schedule per protocol; which of tau, t_end, n_pulses each takes
+SCHEDULES = {
+    "none": {"t_end": "1"},
+    "px": {"tau": "0.1", "n_pulses": "4"},
+    "pxpy": {"tau": "0.1", "n_pulses": "4"},
+    "pz": {"tau": "0.1", "n_pulses": "4"},
+    "uhrig": {"t_end": "0.4", "n_pulses": "4"},
+}
+
+
+def schedule_input_cases():
+    for protocol, taken in SCHEDULES.items():
+        for name in ("tau", "t_end", "n_pulses"):
+            values = dict(taken)
+            if name in taken:
+                del values[name]
+                message = f"{name}: required for protocol {protocol!r}"
+            elif name == "t_end":
+                values[name] = "1"
+                message = (f"t_end: derived as n_pulses*tau for protocol {protocol!r}, "
+                           f"do not set it")
+            else:
+                values[name] = "1"
+                message = f"{name}: not applicable to protocol {protocol!r}"
+            argv = ["--protocol", protocol, "-o", "{out}"]
+            for key, value in values.items():
+                argv += ["--" + key.replace("_", "-"), value]
+            yield pytest.param(argv, None, message, id=f"{protocol}-{name}")
+    yield pytest.param(["--t-end", "1", "-o", "{out}"], None, "protocol: required",
+                       id="protocol-flag")
+    yield pytest.param([], "t_end=1\noutput={out}\n", "protocol: required", id="protocol-file")
+    yield pytest.param(["--protocol", "none", "--t-end", "1"], None, "output: required",
+                       id="output-flag")
+    yield pytest.param([], "protocol=none\nt_end=1\n", "output: required", id="output-file")
+    yield pytest.param([], "protocol=bogus\nt_end=1\noutput={out}\n",
+                       "protocol: must be one of none/px/pxpy/pz/uhrig, got 'bogus'",
+                       id="protocol-unknown-file")
+
+
+@pytest.mark.parametrize("argv, file_text, message", schedule_input_cases())
+def test_missing_or_extra_run_input_is_a_configuration_error(tmp_path, capsys, argv,
+                                                             file_text, message):
+    out = str(tmp_path / "x.csv")
+    argv = [a.format(out=out) for a in argv]
+    if file_text is not None:
+        argv += ["--config", write_config(tmp_path, file_text.format(out=out))]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ([] if file_text is None else ["run.cfg"])
+
+
+def test_help_lists_a_flag_per_run_input(capsys):
+    # RunConfig's fields are the flag table's entries, in its order
+    assert [f.name for f in fields(cli.RunConfig)] == list(cli._FLAGS)
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    words = set(capsys.readouterr().out.split())
+    flags = ["--output" if name == "output_path" else "--" + name.replace("_", "-")
+             for name in cli._FLAGS]
+    assert {"--config", "-o", *flags} <= words
 
 
 def test_csv_text_is_the_per_value_format(tmp_path):
@@ -324,12 +388,58 @@ def test_undecodable_config_file_is_a_configuration_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfprotocol=none\nt_end=1\ndt=0.01\n")
+    out = tmp_path / "x.csv"
+    assert main(["--config", str(cfg), "-o", str(out)]) == 0
+    assert read_meta(out)["protocol"] == "none"
+
+
+def test_undecodable_config_file_after_a_byte_order_mark(tmp_path, capsys):
+    # the offset counts the file's bytes, the mark's three included
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfprotocol=none\n# caf\xe9\n")
+    assert main(["--config", str(cfg), "-o", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: {cfg}: not UTF-8 text (invalid continuation byte at byte 22)\n")
+
+
 def test_config_file_is_utf8_whatever_the_locale(tmp_path):
     cfg = write_config(tmp_path, "protocol=none\nt_end=1\ndt=0.01  # café\n")
     out = tmp_path / "x.csv"
     proc = run_module(["--config", cfg, "-o", str(out)], LC_ALL="C", PYTHONUTF8="0")
     assert proc.returncode == 0, proc.stderr
     assert read_meta(out)["dt"] == "0.01"
+
+
+@pytest.mark.parametrize("name, quoted", [
+    ("a.csv", "'{dir}/a.csv'"),
+    ("it's.csv", "'{dir}/it''s.csv'"),  # gnuplot doubles a quote inside '...'
+])
+def test_plot_script_quotes_the_csv_path(tmp_path, name, quoted):
+    out, plot = tmp_path / name, tmp_path / "x.gp"
+    assert main(["--protocol", "none", "--t-end", "1", "--dt", "0.01", "-o", str(out),
+                 "--plot-script", str(plot)]) == 0
+    csv = quoted.format(dir=tmp_path)
+    assert plot.read_text(encoding="utf-8") == (
+        "set datafile separator ','\n"
+        "set xlabel 'omega'\n"
+        "set ylabel 'spectrum (arb. units)'\n"
+        "set key top right\n"
+        f"plot {csv} using 1:2 with lines title 'emission', "
+        f"{csv} using 1:4 with lines title 'net absorption'\n")
+
+
+def test_plot_script_names_the_csv_by_its_bytes_whatever_the_locale(tmp_path):
+    # under an ASCII locale the non-ASCII bytes reach argv surrogate-escaped
+    out = os.fsencode(tmp_path) + "/café.csv".encode()
+    plot = tmp_path / "x.gp"
+    proc = run_module(["--protocol", "none", "--t-end", "1", "--dt", "0.01", "-o", out,
+                       "--plot-script", str(plot)], LC_ALL="C", PYTHONUTF8="0")
+    assert proc.returncode == 0, proc.stderr
+    assert b"plot '" + out + b"' using 1:2 " in plot.read_bytes()
+    assert os.path.exists(out) and os.path.exists(out + b".meta")
 
 
 @pytest.mark.parametrize("flags, text", [
