@@ -210,6 +210,8 @@ def _read_config_file(path: str) -> dict:
         if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         field = _KEYS[key]
+        if field in ("output_path", "plot_script"):  # the file a flag of these bytes names
+            value = os.fsdecode(value.encode("utf-8"))
         try:
             values[field] = _FLAGS[field].get("type", str)(value)
         except ValueError:

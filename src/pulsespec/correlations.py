@@ -140,11 +140,15 @@ def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
             pairs = x[None, :, i:j, None] * v[:, :, None, :j]
             np.add.at(flat, (rows + at).ravel(), pairs.ravel())
             i = j
-    rev_ee = np.cumsum(decay_recurrence(acc[0, :, :n + 1], q), axis=-1)
-    rev_c = np.cumsum(np.cumsum(acc[1, :, :n + 1], axis=-1), axis=-1)
-    envelope = dt * weights[:, None] * exp_powers(s.rate + 1j * s.phase, n)
-    g1 = np.einsum("dj,dj->j", envelope, rev_ee[:, ::-1])
-    g2 = np.einsum("dj,dj->j", envelope, rev_c[:, ::-1]) - g1
+    lags = acc[:, :, :n + 1]  # the filters run in place: rows ee, then constant
+    lags[0] = decay_recurrence(lags[0], q)
+    np.cumsum(lags, axis=-1, out=lags)
+    np.cumsum(lags[1], axis=-1, out=lags[1])
+    envelope = exp_powers(s.rate + 1j * s.phase, n)
+    envelope *= dt * weights[:, None]
+    g1, g2 = np.einsum("dj,rdj->rj", envelope, lags[:, :, ::-1])
+    g2 -= g1
+    del acc, flat, lags, envelope  # before the kernel copies g1 and g2
     # G(0): stretch sums of ee = E q^j and of ee + gg = E + G; rows 0 and n at half weight
     x = math.log(q)
     ee_sum = s.ee @ np.expm1((b - a) * x) / math.expm1(x)

@@ -6,8 +6,10 @@ overall detector-coupling scale set to one; the direct absorption P' is the
 same transform of G2 and the net absorption is Q = P' - P. The integral is
 the trapezoidal sum over the uniform theta grid. The detector grid is
 uniform too, so with omega_k = omega_0 + k*dw and theta_n = n*dtheta the sum
-is a chirp-z transform (Bluestein's algorithm): one linear convolution,
-done with FFTs in O((N + M) log(N + M)) for N theta and M omega points.
+is a chirp-z transform (Bluestein's algorithm): a linear convolution with
+the chirp, done with FFTs in nb = max(1, N // 4M) blocks of the N theta points,
+O((N + nb M) log(N/nb + M)) for M omega points. All that does not depend on
+the kernel is one plan per grid, kept for the next transform onto that grid.
 
 The transform is linear, so a detuning average transforms once, on the
 weighted kernel of the whole mixture.
@@ -15,6 +17,8 @@ weighted kernel of the whole mixture.
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 
 import numpy as np
@@ -38,6 +42,41 @@ def fft_length(n: int) -> int:
     return best
 
 
+def _chirp(alpha: float, size: int) -> np.ndarray:
+    """e^{-i alpha j^2}, j < size: with j = q b + r, b = isqrt(size) + 1, it is
+    e^{-i alpha (q b)^2} e^{-i alpha r^2} times ``exp_powers``' e^{-2 i alpha b k} at
+    k = q r, O(sqrt(size)) exps. Each phase is alpha times exact integers, so the
+    error is a few eps of 1 + alpha j^2, as for one exp per point.
+    """
+    b = math.isqrt(size) + 1
+    q, r = np.arange(-(-size // b)), np.arange(b)
+    cross = exp_powers(np.array([-2j * alpha * b]), q[-1] * r[-1])[0]
+    rows = np.exp(-1j * alpha * (b * q) ** 2)[:, None] * np.exp(-1j * alpha * (r * r))
+    return (rows * cross[np.multiply.outer(q, r)]).ravel()[:size]
+
+
+@functools.lru_cache(maxsize=1)
+def _plan(n: int, m: int, omega0: float, dw: float, dtheta: float):
+    """Read-only (pre, windows, post) of the transform of n lags onto m frequencies:
+    trapezoid weights x e^{-i omega_0 theta_n} x c_n, the FFTs of conj(c) at the
+    offsets k - n of each block, and c_k, with c_j = e^{-i dw dtheta j^2 / 2}.
+    """
+    nb = max(1, n // (4 * m))
+    blen = -(-n // nb)
+    chirp = _chirp(0.5 * dw * dtheta, max(nb * blen, m))
+    wq = np.full(n, dtheta)
+    wq[0] = wq[-1] = 0.5 * dtheta
+    pre = wq * exp_powers(np.array([-1j * omega0 * dtheta]), n - 1)[0] * chirp[:n]
+    # conj(c) at the offsets 1 - nb*blen .. m - 1; block b's starts at (nb - 1 - b)*blen
+    offsets = np.concatenate([chirp[nb * blen - 1:0:-1], chirp[:m]]).conj()
+    windows = np.stack([offsets[i:i + blen + m - 1]
+                        for i in range((nb - 1) * blen, -1, -blen)])
+    plan = pre, np.fft.fft(windows, fft_length(blen + m - 1)), chirp[:m].copy()
+    for a in plan:
+        a.setflags(write=False)
+    return plan
+
+
 def spectrum_from_kernel(kernel: CorrelationKernel,
                          omega_grid: np.ndarray) -> SpectrumResult:
     """Fourier-transform the kernels onto a uniform detector frequency grid.
@@ -46,25 +85,25 @@ def spectrum_from_kernel(kernel: CorrelationKernel,
     theta_n = n*dt are uniform by construction. Trapezoidal weights in
     theta. With k*n = (k^2 + n^2 - (k-n)^2)/2 and c_j = e^{-i dw dtheta j^2/2},
     the sum over n of f_n e^{-i omega_k theta_n} is c_k times the convolution
-    of f_n e^{-i omega_0 theta_n} c_n with conj(c_j); G1 and G2 share the FFT
-    of the chirp, the one exp; e^{-i omega_0 theta_n} is ``exp_powers``. Net
+    of f_n e^{-i omega_0 theta_n} c_n with conj(c_j): the valid part of each
+    block's convolution with its window of conj(c_j), so nothing wraps, summed
+    over the blocks before the one inverse FFT. All but the kernel is the plan
+    of the grid (N, M, omega_0, dw, dtheta), kept until another grid is used. Net
     absorption is the exact elementwise difference of the other two columns.
     """
     omega = check_omega_grid(omega_grid)
-    n, m, dtheta = kernel.g1.size, omega.size, kernel.params.dt
+    n, m = kernel.g1.size, omega.size
     dw = (omega[-1] - omega[0]) / max(m - 1, 1)
-    wq = np.full(n, dtheta)
-    wq[0] = wq[-1] = 0.5 * dtheta
-    j = np.arange(max(n, m), dtype=float)
-    chirp = np.exp(-0.5j * dw * dtheta * (j * j))  # j*j is an exact integer
-    demod = exp_powers(np.array([-1j * omega[0] * dtheta]), n - 1)[0]
-    f = np.stack([kernel.g1, kernel.g2]) * (wq * demod * chirp[:n])
-    size = fft_length(n + m - 1)  # no wrap-around
-    h = np.zeros(size, complex)
-    h[:m] = chirp[:m].conj()
-    h[size - n + 1:] = chirp[n - 1:0:-1].conj()  # offsets k - n < 0
-    s = np.fft.ifft(np.fft.fft(f, size) * np.fft.fft(h))[:, :m] * chirp[:m]
-    emission, direct = 2.0 * s.real
+    pre, windows, post = _plan(n, m, float(omega[0]), float(dw), kernel.params.dt)
+    nb, size = windows.shape
+    blen = -(-n // nb)
+    f = np.zeros((2, nb * blen), complex)
+    np.multiply(kernel.g1, pre, out=f[0, :n])
+    np.multiply(kernel.g2, pre, out=f[1, :n])
+    blocks = np.fft.fft(f.reshape(2, nb, blen).transpose(1, 0, 2), size)
+    blocks *= windows[:, None]
+    s = np.fft.ifft(blocks.sum(axis=0))[:, blen - 1:blen - 1 + m]
+    emission, direct = 2.0 * (s * post).real
 
     return SpectrumResult(
         omega=omega,

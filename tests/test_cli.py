@@ -442,6 +442,18 @@ def test_plot_script_names_the_csv_by_its_bytes_whatever_the_locale(tmp_path):
     assert os.path.exists(out) and os.path.exists(out + b".meta")
 
 
+def test_config_file_paths_name_files_by_their_utf8_bytes_whatever_the_locale(tmp_path):
+    # the file a config file's output= names is the one -o names with the same bytes
+    cfg = write_config(tmp_path, f"protocol=none\nt_end=1\ndt=0.01\n"
+                                 f"output={tmp_path}/café.csv\nplot_script={tmp_path}/é.gp\n")
+    proc = run_module(["--config", cfg], LC_ALL="C", PYTHONUTF8="0")
+    assert proc.returncode == 0, proc.stderr
+    out, plot = (os.fsencode(tmp_path) + name.encode() for name in ("/café.csv", "/é.gp"))
+    assert os.path.exists(out) and os.path.exists(out + b".meta")
+    with open(plot, "rb") as f:
+        assert b"plot '" + out + b"' using 1:2 " in f.read()
+
+
 @pytest.mark.parametrize("flags, text", [
     ([], "0"),
     (["--delta=-0.0"], "-0"),

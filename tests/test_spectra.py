@@ -1,6 +1,12 @@
-"""Spectra: Fourier quadrature, sum rule, detuning averaging, peak tools."""
+"""Spectra: Fourier quadrature, its plan, sum rule, detuning averaging, peak tools."""
 
+import ast
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +205,141 @@ class TestFftLength:
         g1, g2 = row_loop_kernel(sched, params, 2.5)
         assert np.max(np.abs(kern.g1 - g1)) < 1e-12
         assert np.max(np.abs(kern.g2 - g2)) < 1e-12
+
+
+def uhrig_kernel(n_steps, dt=0.05):
+    """A kernel of n_steps + 1 lags, off-grid pulses, a coarse step."""
+    params = SimParams(gamma=2.0, t_end=n_steps * dt, dt=dt)
+    return accumulate_kernel(uhrig_schedule(5, params.t_end), params, [3.0], [1.0])
+
+
+def plan_blocks(n, m):
+    """(block count, block length, FFT length) of the plan for n lags and m frequencies."""
+    nb, size = spectra._plan(n, m, 0.0, 1.0, 1.0)[1].shape
+    return nb, -(-n // nb), size
+
+
+class TestBlockedTransform:
+    """The lags in several blocks, each with its own window, against the dense sum."""
+
+    def test_several_blocks_with_a_zero_padded_last_block(self):
+        kern, m = uhrig_kernel(250), 12
+        nb, blen, size = plan_blocks(251, m)
+        assert nb > 1 and nb * blen > 251 and size > blen + m - 1
+        assert_matches_dense(kern, -7.0 + 0.4 * np.arange(m))
+
+    @pytest.mark.parametrize("n_steps, m", [(200, 10), (139, 12)])
+    def test_several_blocks_without_padding_slack(self, n_steps, m):
+        # block length + M - 1 is 5-smooth, so the FFT length leaves no spare
+        # zeros; for (139, 12) it is 81, and 80, one short, would wrap
+        nb, blen, size = plan_blocks(n_steps + 1, m)
+        assert nb > 1 and size == blen + m - 1
+        assert_matches_dense(uhrig_kernel(n_steps), -7.0 + 0.4 * np.arange(m))
+
+    def test_one_frequency(self):
+        nb, blen, size = plan_blocks(51, 1)
+        assert nb > 1 and size == blen
+        assert_matches_dense(uhrig_kernel(50), [3.0])
+
+    @pytest.mark.parametrize("lags", [39, 40, 41, 79, 80, 81])
+    def test_block_count_around_4m_and_8m(self, lags):
+        # nb = 1 below 8M lags, 2 from there
+        assert plan_blocks(lags, 10)[0] == (2 if lags >= 80 else 1)
+        assert_matches_dense(uhrig_kernel(lags - 1), -7.0 + 0.4 * np.arange(10))
+
+
+class TestPlan:
+    def test_a_kept_plan_gives_the_fresh_result(self):
+        params = SimParams(gamma=2.0, t_end=2.4, dt=1e-2)
+        kernels = [accumulate_kernel(PAPER_SCHEDULES[p], params, [3.0], [1.0])
+                   for p in ("pz", "uhrig")]
+        fresh = []
+        for kern in kernels:
+            spectra._plan.cache_clear()
+            fresh.append(spectrum_from_kernel(kern, GRID))
+        spectra._plan.cache_clear()
+        for kern, want in zip(kernels, fresh):
+            got = spectrum_from_kernel(kern, GRID)
+            assert np.array_equal(got.emission, want.emission)
+            assert np.array_equal(got.direct_absorption, want.direct_absorption)
+        assert spectra._plan.cache_info().hits >= 1
+
+    def test_a_grid_between_two_uses_of_another(self):
+        kern = uhrig_kernel(200)
+        grids = [GRID, default_omega_grid(-10.0, 10.0, 0.05), GRID]
+        first, other, again = (spectrum_from_kernel(kern, g) for g in grids)
+        spectra._plan.cache_clear()
+        fresh = spectrum_from_kernel(kern, grids[1])
+        assert np.array_equal(first.emission, again.emission)
+        assert np.array_equal(first.direct_absorption, again.direct_absorption)
+        assert np.array_equal(other.emission, fresh.emission)
+        assert spectra._plan.cache_info().currsize == 1
+
+    def test_plan_arrays_are_read_only(self):
+        for a in spectra._plan(201, 10, -1.0, 0.5, 0.05):
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2.0
+
+    @pytest.mark.parametrize("alpha, size", [
+        (0.5 * 0.025 * 1e-3, 3201),   # paper: dw 0.025, dt 1e-3, M = 3201
+        (0.5 * 0.05 * 1e-3, 16002),   # long-window: N + 1 = 16001 in 9 blocks
+        (0.5 * 0.5 * 0.01, 241),      # smoke: dw 0.5, dt 0.01
+        (0.5 * 0.5 * 0.01, 1602),
+        (1.7, 1), (1.7, 2), (0.3, 15), (0.3, 16), (0.3, 17),
+        (1e-3, 16128), (1e-3, 16129), (1e-3, 16130), (1.7, 200_000),
+    ])
+    def test_table_chirp_is_one_exp_per_point(self, alpha, size):
+        j = np.arange(size, dtype=float)
+        want = np.exp(-1j * alpha * j * j)
+        got = spectra._chirp(alpha, size)
+        assert got.shape == (size,)
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * (1 + alpha * j * j))
+
+
+class TestWorkingSet:
+    """Peak traced allocations at long-window size, in arrays of N + 1 complex."""
+
+    PARAMS = SimParams(gamma=2.0, t_end=16.0, dt=1e-3)
+    SCHEDULE = uhrig_schedule(24, 16.0)
+    OMEGA = default_omega_grid(-10.0, 10.0, 0.05)
+    UNIT = (PARAMS.n_steps + 1) * np.dtype(complex).itemsize
+
+    def peak(self, call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / self.UNIT
+        finally:
+            tracemalloc.stop()
+
+    def test_kernel(self):
+        assert self.peak(lambda: accumulate_kernel(self.SCHEDULE, self.PARAMS,
+                                                   [2.0], [1.0])) <= 7
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="numpy < 2 copies an FFT's input to pad it")
+    def test_warm_transform(self):
+        kern = accumulate_kernel(self.SCHEDULE, self.PARAMS, [2.0], [1.0])
+        spectrum_from_kernel(kern, self.OMEGA)
+        assert self.peak(lambda: spectrum_from_kernel(kern, self.OMEGA)) <= 6
+
+
+def test_importing_the_cli_builds_no_plan():
+    code = "import pulsespec.cli, pulsespec.spectra as s; print(s._plan.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=str(Path(spectra.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def test_spectra_imports_nothing_the_cli_does_not():
+    tree = ast.parse(Path(spectra.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert imported <= {"__future__", "functools", "math", "warnings", "numpy"}
 
 
 class TestSumRule:

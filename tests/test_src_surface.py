@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 import pulsespec
-from pulsespec import cli
+from pulsespec import cli, spectra
 
 SRC = Path(pulsespec.__file__).resolve().parent
 
@@ -68,6 +68,8 @@ def run_cli(tmp_path):
         ["--protocol", "uhrig", "--n-pulses", "5", "--t-end", "1", "--delta", "2",
          "--plot-script", str(tmp_path / "x.gp")],
     ]
+    # every run here shares one grid; a fresh process builds its transform plan
+    spectra._plan.cache_clear()
     codes = [cli.main(argv + grid) for argv in runs]
     cfg = tmp_path / "run.cfg"
     cfg.write_text("protocol=none\nt_end=1\ndt=0.01\n")
