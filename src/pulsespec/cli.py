@@ -20,12 +20,15 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import re
 import sys
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -298,25 +301,22 @@ def _format_e11(table: np.ndarray) -> bytes:
     return slots[slots != 0].tobytes()
 
 
-def _write_csv(path: str, spec: SpectrumResult) -> None:
-    """Write the spectrum as CSV: a header, then one row per frequency.
+def _write_csv(f: BinaryIO, spec: SpectrumResult) -> None:
+    """Write the spectrum as CSV to ``f``: a header, then one row per frequency.
 
     Each value is written exactly as ``"%.11e" % x`` would write it; the
     text of the whole table comes from ``_format_e11``.
     """
     rows = np.column_stack([spec.omega, spec.emission, spec.direct_absorption,
                             spec.net_absorption])
-    with open(path, "wb") as f:
-        f.write(CSV_HEADER.encode() + b"\n")
-        f.write(_format_e11(rows))
-        f.write(b"\n")
+    f.write(b"%s\n%s\n" % (CSV_HEADER.encode(), _format_e11(rows)))
 
 
 def _meta_value(value) -> str:
     return "" if value is None else value if isinstance(value, str) else format(value, ".17g")
 
 
-def _write_metadata(path: str, config: RunConfig, spec: SpectrumResult, deltas: np.ndarray,
+def _write_metadata(f: BinaryIO, config: RunConfig, spec: SpectrumResult, deltas: np.ndarray,
                     sum_rule: tuple[float, float] | None, notes: list[str]) -> None:
     """Write the .meta record; ``deltas`` are the detunings computed, from ``validate``.
 
@@ -336,8 +336,7 @@ def _write_metadata(path: str, config: RunConfig, spec: SpectrumResult, deltas: 
                   warnings=" | ".join(notes), n_steps=params.n_steps, n_omega=spec.omega.size,
                   n_deltas=deltas.size, pulsespec_version=__version__,
                   numpy_version=np.__version__)
-    with open(path, "w", newline="\n") as f:
-        f.write("".join(f"{key}={_meta_value(value)}\n" for key, value in record.items()))
+    f.write("".join(f"{key}={_meta_value(value)}\n" for key, value in record.items()).encode())
 
 
 _PLOT_COLUMNS = {
@@ -347,8 +346,8 @@ _PLOT_COLUMNS = {
 }
 
 
-def _write_plot_script(path: str, csv_path: str, observable: str) -> None:
-    """Write a gnuplot script plotting the CSV, named by its file-system bytes.
+def _write_plot_script(f: BinaryIO, csv_path: str, observable: str) -> None:
+    """Write to ``f`` a gnuplot script plotting the CSV, named by its file-system bytes.
 
     Inside gnuplot's single quotes a quote is doubled.
     """
@@ -364,55 +363,74 @@ def _write_plot_script(path: str, csv_path: str, observable: str) -> None:
         b"set key top right\n"
         b"plot %s\n" % curves
     )
-    with open(path, "wb") as f:
-        f.write(body)
+    f.write(body)
 
 
-def _check_writable(paths: list[str]) -> None:
-    """Raise OSError if a path cannot be opened for writing; leave no new file."""
-    for path in paths:
-        existed = os.path.exists(path)
-        with open(path, "a"):
-            pass
-        if not existed:
+@contextlib.contextmanager
+def _opened_outputs(paths: list[str]) -> Iterator[list[BinaryIO]]:
+    """Open every output once, before computing: an unwritable path raises OSError.
+
+    A file that exists is opened for appending and keeps its contents until
+    the outputs are written; on an error, every file this run created is removed.
+    """
+    files, created = [], []
+    try:
+        for path in paths:
+            try:
+                files.append(open(path, "xb"))
+                created.append(path)
+            except FileExistsError:
+                files.append(open(path, "ab"))
+        yield files
+    except BaseException:
+        for f in files:
+            f.close()
+        for path in created:
             os.remove(path)
+        raise
+    finally:
+        for f in files:
+            f.close()
 
 
 def run(config: RunConfig) -> SpectrumResult:
     """Execute the pipeline and write the outputs; warnings go to stderr and .meta.
 
-    The configuration is validated and each output path checked before computing.
+    The configuration is validated and each output opened before computing.
     """
     schedule, params, omega, (deltas, weights) = config.validate()
     outputs = [config.output_path, config.output_path + ".meta"]
     if config.plot_script:
         outputs.append(config.plot_script)
-    _check_writable(outputs)
+    with _opened_outputs(outputs) as files:
+        sum_rule = None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            spec = detuning_average(schedule, params, deltas, weights, omega)
+            if not (np.isfinite(spec.emission).all()
+                    and np.isfinite(spec.direct_absorption).all()):
+                raise ArithmeticError("the spectrum is not finite; nothing written")
+            try:
+                sum_rule = emission_sum_rule(spec)
+            except ValueError:
+                pass  # grid outside the sum rule's validity
+        notes = [str(w.message) for w in caught]
+        if sum_rule is not None:
+            deviation = abs(sum_rule[0] / sum_rule[1] - 1.0)
+            if deviation > 0.10:
+                notes.append(f"emission sum rule off by {deviation:.1%} "
+                             f"(lhs={sum_rule[0]:.6g}, rhs={sum_rule[1]:.6g})")
+        notes = list(dict.fromkeys(notes))
+        for note in notes:
+            print(f"warning: {note}", file=sys.stderr)
 
-    sum_rule = None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        spec = detuning_average(schedule, params, deltas, weights, omega)
-        if not (np.isfinite(spec.emission).all() and np.isfinite(spec.direct_absorption).all()):
-            raise ArithmeticError("the spectrum is not finite; nothing written")
-        try:
-            sum_rule = emission_sum_rule(spec)
-        except ValueError:
-            pass  # grid outside the sum rule's validity
-    notes = [str(w.message) for w in caught]
-    if sum_rule is not None:
-        deviation = abs(sum_rule[0] / sum_rule[1] - 1.0)
-        if deviation > 0.10:
-            notes.append(f"emission sum rule off by {deviation:.1%} "
-                         f"(lhs={sum_rule[0]:.6g}, rhs={sum_rule[1]:.6g})")
-    notes = list(dict.fromkeys(notes))
-    for note in notes:
-        print(f"warning: {note}", file=sys.stderr)
-
-    _write_csv(config.output_path, spec)
-    _write_metadata(config.output_path + ".meta", config, spec, deltas, sum_rule, notes)
-    if config.plot_script:
-        _write_plot_script(config.plot_script, config.output_path, config.observable)
+        for f in files:
+            if f.seekable() and f.tell():  # an existing file, opened for appending
+                f.truncate(0)
+        _write_csv(files[0], spec)
+        _write_metadata(files[1], config, spec, deltas, sum_rule, notes)
+        if config.plot_script:
+            _write_plot_script(files[2], config.output_path, config.observable)
     return spec
 
 

@@ -113,6 +113,34 @@ def test_non_finite_spectrum_is_a_runtime_error(tmp_path, monkeypatch, capsys, b
     assert list(tmp_path.iterdir()) == []
 
 
+def test_failed_run_leaves_existing_outputs_as_they_were(tmp_path, monkeypatch):
+    def broken(kernel, omega):
+        spec = spectrum_from_kernel(kernel, omega)
+        return SpectrumResult(spec.omega, spec.emission * np.nan, spec.direct_absorption,
+                              spec.direct_absorption, kernel)
+
+    monkeypatch.setattr(spectra, "spectrum_from_kernel", broken)
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"kept")
+    assert main(["--protocol", "none", "--t-end", "1", "--dt", "0.01", "-o", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == [out] and out.read_bytes() == b"kept"
+
+
+def test_outputs_that_exist_are_replaced_whole(tmp_path):
+    argv = ["--protocol", "none", "--t-end", "1", "--dt", "0.01", "--plot-script"]
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    fresh.mkdir()
+    old.mkdir()
+    for name in ("x.csv", "x.csv.meta", "x.gp"):
+        (old / name).write_bytes(b"#" * 100_000)
+    for d in (fresh, old):
+        assert main([*argv, str(d / "x.gp"), "-o", str(d / "x.csv")]) == 0
+    for name in ("x.csv", "x.csv.meta"):
+        assert (old / name).read_bytes() == (fresh / name).read_bytes()
+    assert (old / "x.gp").read_bytes() == (fresh / "x.gp").read_bytes().replace(
+        bytes(fresh), bytes(old))
+
+
 @pytest.mark.parametrize("exc", [
     MemoryError(),
     MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000001,)"),
@@ -298,7 +326,8 @@ def test_csv_text_is_the_per_value_format(tmp_path):
     kernel = CorrelationKernel(np.zeros(2), np.zeros(2), SimParams(t_end=1.0, dt=1.0), "x")
     spec = SpectrumResult(*cols, kernel=kernel)
     path = tmp_path / "x.csv"
-    cli._write_csv(str(path), spec)
+    with open(path, "wb") as f:
+        cli._write_csv(f, spec)
     rows = "".join(f"{o:.11e},{p:.11e},{pp:.11e},{q:.11e}\n" for o, p, pp, q in cols.T)
     assert path.read_bytes() == (CSV_HEADER + "\n" + rows).encode()
 
