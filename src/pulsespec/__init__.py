@@ -26,14 +26,11 @@ from .core import (
     default_omega_grid,
 )
 from .correlations import accumulate_kernel
-from .dynamics import Trajectory, density_trajectory
+from .dynamics import density_trajectory
 from .sequences import no_drive_schedule, periodic_schedule, uhrig_schedule
 from .spectra import (
     detuning_average,
-    dominant_peaks,
     emission_sum_rule,
-    full_width_half_max,
-    local_maxima,
     spectrum_from_kernel,
 )
 
@@ -46,15 +43,11 @@ __all__ = [
     "PulseSchedule",
     "SimParams",
     "SpectrumResult",
-    "Trajectory",
     "accumulate_kernel",
     "default_omega_grid",
     "density_trajectory",
     "detuning_average",
-    "dominant_peaks",
     "emission_sum_rule",
-    "full_width_half_max",
-    "local_maxima",
     "no_drive_schedule",
     "periodic_schedule",
     "spectrum_from_kernel",

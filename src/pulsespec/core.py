@@ -162,10 +162,6 @@ class SimParams:
         """Number of dt steps spanning [0, t_end]."""
         return round(self.t_end / self.dt)
 
-    def time_grid(self) -> np.ndarray:
-        """Uniform grid t_k = k*dt over [0, t_end]."""
-        return np.arange(self.n_steps + 1) * self.dt
-
     def check_schedule(self, schedule: PulseSchedule) -> None:
         """Sanity-check a parameter/schedule combination before a run.
 
@@ -227,7 +223,7 @@ class CorrelationKernel:
     @property
     def theta_grid(self) -> np.ndarray:
         """The lags theta_j = j*dt of g1 and g2."""
-        return self.params.time_grid()
+        return np.arange(self.params.n_steps + 1) * self.params.dt
 
 
 @dataclass(frozen=True)

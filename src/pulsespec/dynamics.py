@@ -71,11 +71,20 @@ def step_multipliers(h: float, delta: float, gamma: float) -> tuple[float, compl
 
 
 def stable_step(dt: float, deltas, gamma: float) -> tuple[float, np.ndarray]:
-    """``step_multipliers`` of a grid step dt; ValueError unless 0 < decay < 1, all |phase| < 1."""
+    """``step_multipliers`` of a grid step dt; ValueError unless 0 < decay < 1, all |phase| < 1.
+
+    The exact factors are in (0, 1) for gamma dt, |(i delta - gamma/2) dt| <= 1: refused
+    there, one has rounded to 1 (the kernel takes log decay), and a larger dt helps.
+    """
     deltas = np.asarray(deltas, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         decay, phase = step_multipliers(dt, deltas, gamma)
-        if not (0.0 < decay < 1.0 and np.all(np.abs(phase) < 1.0)):
+        scale = np.abs(phase)
+        if not (0.0 < decay < 1.0 and np.all(scale < 1.0)):
+            short = (scale < 1.0) | (np.abs(1j * deltas - 0.5 * gamma) * dt <= 1.0)
+            if (0.0 < decay < 1.0 or gamma * dt <= 1.0) and np.all(short):
+                raise ValueError(f"dt={dt:g} at gamma={gamma:g} rounds an RK4 step factor to 1, "
+                                 f"which the kernel cannot use; a larger dt helps")
             raise ValueError(f"dt={dt:g} is outside the RK4 stability region at gamma="
                              f"{gamma:g}, max |delta|={np.max(np.abs(deltas), initial=0.0):g}")
     return decay, phase
@@ -184,4 +193,5 @@ def density_trajectory(schedule: PulseSchedule, params: SimParams) -> Trajectory
     s, n = grid_state(schedule, params, ()), params.n_steps
     at = np.repeat(np.arange(s.starts.size), np.diff(s.starts, append=n + 1))
     x = (np.arange(n + 1) - s.starts[at]) * math.log(s.decay)
-    return Trajectory(params.time_grid(), s.ee[at] * np.exp(x), s.gg[at] - s.ee[at] * np.expm1(x))
+    return Trajectory(np.arange(n + 1) * params.dt, s.ee[at] * np.exp(x),
+                      s.gg[at] - s.ee[at] * np.expm1(x))

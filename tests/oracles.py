@@ -143,7 +143,7 @@ def correlator_row(t_seed, rho_at_seed, schedule, params, delta):
     if k < 0 or k > params.n_steps or abs(k * dt - t_seed) > TIME_SNAP * dt:
         raise ValueError(
             f"t_seed={t_seed} is not on the [0, {params.t_end}] grid with step {dt}")
-    grid = params.time_grid()[k:]
+    grid = np.arange(k, params.n_steps + 1) * dt
     seeds = np.stack([left_mul_sigma_minus(rho_at_seed),
                       right_mul_sigma_minus(rho_at_seed)])
     rows = [seeds[:, 1, 0]]
@@ -163,7 +163,7 @@ def row_loop_kernel(schedule, params, delta):
     n, dt = params.n_steps, params.dt
     w = np.full(n + 1, dt)
     w[0] = w[-1] = dt / 2
-    grid = params.time_grid()
+    grid = np.arange(n + 1) * dt
     rho = op(ee=1.0)
     g1 = np.zeros(n + 1, dtype=complex)
     g2 = np.zeros(n + 1, dtype=complex)
@@ -231,7 +231,7 @@ def interval_loop_grid_state(schedule, params, deltas):
     """
     n, dt, gamma = params.n_steps, params.dt, params.gamma
     deltas = np.array(deltas, dtype=float)
-    grid = params.time_grid()
+    grid = np.arange(n + 1) * dt
     where = np.searchsorted(grid + TIME_SNAP * dt, schedule.times)
     starts = np.array([0, *np.unique(where[(where > 0) & (where <= n)])])
     decay, phases = step_multipliers(dt, deltas, gamma)

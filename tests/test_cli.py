@@ -88,6 +88,20 @@ def test_unstable_step_is_a_configuration_error(tmp_path, capsys, flags, named):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("dt", ["1e-3", "1e-4"])
+def test_step_factor_rounded_to_one_is_a_configuration_error(tmp_path, capsys, dt):
+    # gamma*dt = 1e-17: the step contracts, but its RK4 factors round to exactly 1,
+    # and a larger dt is the remedy, not a smaller one
+    out = tmp_path / "x.csv"
+    argv = ["--protocol", "none", "--t-end", "1", "--gamma", "1e-14", "--delta", "3"]
+    assert main([*argv, "--dt", dt, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: dt={float(dt):g} at gamma=1e-14 rounds")
+    assert "stability region" not in err and "a larger dt helps" in err
+    assert list(tmp_path.iterdir()) == []
+    assert main([*argv, "--dt", "0.5", "-o", str(out)]) == 0 and out.exists()
+
+
 def test_unstable_detuning_of_weight_zero_is_not_computed(tmp_path):
     out = tmp_path / "x.csv"
     argv = ["--protocol", "none", "--t-end", "1", "--dt", "0.01",

@@ -199,7 +199,8 @@ class TestSimParams:
 
     def test_time_grid(self):
         p = SimParams(t_end=0.01, dt=1e-3)
-        grid = p.time_grid()
+        g = np.zeros(p.n_steps + 1, complex)
+        grid = CorrelationKernel(g, g, p, "x").theta_grid
         assert len(grid) == 11
         assert grid[0] == 0.0
         assert grid[-1] == pytest.approx(0.01, abs=1e-15)
@@ -257,9 +258,9 @@ class TestResultTypes:
         params = SimParams(t_end=0.01, dt=1e-3)
         g = np.ones(params.n_steps + 1, complex)
         kern = CorrelationKernel(g, g.copy(), params, "x")
-        assert np.array_equal(kern.theta_grid, params.time_grid())
+        assert np.array_equal(kern.theta_grid, np.arange(params.n_steps + 1) * params.dt)
         with pytest.raises(AttributeError):
-            kern.theta_grid = params.time_grid()
+            kern.theta_grid = np.arange(params.n_steps + 1) * params.dt
         for n in (0, 1, params.n_steps, params.n_steps + 2):
             with pytest.raises(ValueError, match="n_steps"):
                 CorrelationKernel(g[:1].repeat(n), g, params, "x")

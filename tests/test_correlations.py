@@ -11,6 +11,7 @@ import pulsespec
 from pulsespec import correlations, dynamics
 from pulsespec.dynamics import TIME_SNAP
 from pulsespec import (
+    CorrelationKernel,
     PulseAxis,
     PulseEvent,
     PulseSchedule,
@@ -506,7 +507,7 @@ class TestStretchTable:
         def forbidden(self):
             raise AssertionError("the kernel or transform built a time grid")
 
-        monkeypatch.setattr(SimParams, "time_grid", forbidden)
+        monkeypatch.setattr(CorrelationKernel, "theta_grid", property(forbidden))
         kern = accumulate_kernel(uhrig_schedule(6, 2.0), SimParams(t_end=2.0, dt=1e-2),
                                  [3.0], [1.0])
         assert spectrum_from_kernel(kern, default_omega_grid()).emission.max() > 0

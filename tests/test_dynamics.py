@@ -163,6 +163,18 @@ class TestStableStep:
             stable_step(1e-3, deltas, gamma)
         assert named in str(info.value)
 
+    @pytest.mark.parametrize("deltas, gamma, rounded", [
+        ([], 1e-14, True),  # the decay rounds to 1
+        ([0.0, 1500.0], 1e-14, True),  # |w| = 1.5 > 1, but that phase contracts
+        ([0.0], 1e-13, True),  # the decay is below 1, |phase| rounds to 1
+        ([1e300], 1e-14, False),  # a phase outside the region is named first
+    ])
+    def test_names_a_factor_rounded_to_one(self, deltas, gamma, rounded):
+        with pytest.raises(ValueError) as info:
+            stable_step(1e-3, deltas, gamma)
+        assert ("rounds an RK4 step factor to 1" in str(info.value)) == rounded
+        assert ("outside the RK4 stability region" in str(info.value)) != rounded
+
     def test_guards_the_pipeline(self):
         params = SimParams(t_end=1.0, dt=1e-3)
         with pytest.raises(ValueError, match=r"\|delta\|=3000"):

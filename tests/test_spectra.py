@@ -22,19 +22,17 @@ from pulsespec import (
     accumulate_kernel,
     default_omega_grid,
     detuning_average,
-    dominant_peaks,
     emission_sum_rule,
-    full_width_half_max,
-    local_maxima,
     no_drive_schedule,
     periodic_schedule,
     spectrum_from_kernel,
     uhrig_schedule,
 )
 from pulsespec import spectra
-from pulsespec.spectra import fft_length, smooth3
+from pulsespec.spectra import fft_length
 
 from oracles import per_detuning_average, row_loop_kernel
+from peaks import dominant_peaks, full_width_half_max, local_maxima, smooth3
 
 #: the default detector grid, [-40, 40] with step 0.025
 GRID = default_omega_grid()
@@ -373,6 +371,21 @@ class TestSumRule:
         spec = spectrum_from_kernel(kern, GRID)
         with pytest.warns(UserWarning, match="widen"):
             emission_sum_rule(spec)
+
+    def test_notes_a_miss_above_ten_percent_after_the_edge_warning(self, free_decay):
+        sched = periodic_schedule([PulseAxis.Z], 0.2, 3)
+        kern = accumulate_kernel(sched, SimParams(t_end=0.6), [3.0], [1.0])
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            lhs, rhs = emission_sum_rule(spectrum_from_kernel(kern, GRID))
+            emission_sum_rule(free_decay[2])
+        assert abs(lhs / rhs - 1.0) > 0.10
+        assert [str(w.message) for w in seen] == [
+            "emission at the omega-grid edge is not negligible; "
+            "widen the grid for a reliable sum rule",
+            f"emission sum rule off by {abs(lhs / rhs - 1.0):.1%} "
+            f"(lhs={lhs:.6g}, rhs={rhs:.6g})",
+        ]
 
 
 class TestDetuningAverage:
