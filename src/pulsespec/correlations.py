@@ -26,13 +26,15 @@ over the stretches s = [a_s, b_s), c the column of s. Read backwards, that
 is a running sum of the train of boundary terms +-coef_s convolved with r_c.
 Between pulses each seed is a constant plus E_s q^k (q the RK4 decay
 factor), so r_c is a few impulses per stretch through a running sum and
-through y[k] = q y[k - 1] + u[k] (``decay_recurrence``). Both filters commute
-with the convolution, so the kernel convolves the two sparse trains as an
-outer product of their nonzeros and filters once: O(D (S^2 + N)) for D
-detunings and S stretches, a fixed number of passes over the (D, N + 1) lags
-whatever the pulse count. The decay e^{theta*rate} is an envelope taken out
-first, so long windows keep full precision; it comes from two short tables,
-with no exp per lag (``exp_powers``).
+through y[k] = q y[k - 1] + u[k]. Both filters commute with the convolution:
+a pair of boundary term at p_t and impulse at p_k < p_t on one column adds
+a h(L - j) to G1 and a (L - j + 1) to G1 + G2 at the lags j <= L = p_t - p_k - 1,
+h(k) = sum_{i<=k} q^i. So the pairs are summed per breakpoint L, and the lags
+cut into cells, runs between breakpoints of at most 1/|ln q| lags: a scan
+(``decay_scan``) and running sums give four coefficients at each cell start,
+and short tables in the offset give every lag in one matrix product per family.
+The work per detuning follows the pairs and cells, not the lags; the envelope
+e^{theta(rate + i phase)} is taken at each cell start, keeping full precision.
 
 The kernel is linear in the correlators, so a detuning ensemble is one
 weighted kernel sum_d w_d G_d: all detunings go through the same impulses
@@ -62,28 +64,15 @@ def exp_powers(z: np.ndarray, n: int) -> np.ndarray:
     return (hi[:, :, None] * lo[:, None, :]).reshape(z.size, b * b)[:, :n + 1]
 
 
-def decay_recurrence(u: np.ndarray, q: float) -> np.ndarray:
-    """y[..., i] = q y[..., i - 1] + u[..., i] along the last axis, from y = 0, for 0 < q < 1.
-
-    In blocks of b steps, q^-b <= e (1 <= b <= size): y is q^i times the
-    cumulative sum of q^-i u in a block, plus q^(i + 1) times the end of the
-    block before. The block ends follow y_end[k] = q^b y_end[k - 1] + (own part),
-    solved by a doubling scan in log2 of the block count passes.
-    """
-    size = u.shape[-1]
-    b = max(1, min(size, int(-1.0 / math.log(q))))
-    y = np.zeros((*u.shape[:-1], -(-size // b) * b), np.result_type(u, float))
-    y[..., :size] = u
-    blocks, i = y.reshape(*u.shape[:-1], -1, b), np.arange(b)
-    blocks *= q ** -i
-    np.cumsum(blocks, axis=-1, out=blocks)
-    blocks *= q ** i
-    ends, s = blocks[..., -1].copy(), 1
-    while s < ends.shape[-1]:
-        ends[..., s:] += q ** (b * s) * ends[..., :-s]
+def decay_scan(y: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """y[..., i] += f[i] y[..., i + 1] along the last axis from the end, in place, for 0 < f <= 1:
+    log2 of the size doubling passes, each factor a product of the f, so at most one."""
+    f, s = np.array(f, dtype=float), 1
+    while s < f.size:
+        y[..., :-s] += f[:-s] * y[..., s:]
+        f[:-s] *= f[s:]
         s *= 2
-    blocks[..., 1:, :] += ends[..., :-1, None] * q ** (i + 1)
-    return y[..., :size]
+    return y
 
 
 def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
@@ -97,7 +86,7 @@ def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
     coef_s at b_s (decaying) and +-(E_s + G_s) / coef_s (constant); row 0's
     half weight halves those at row 0 and adds two at row 1 that restore
     the full weight from there on. Their pairs with the boundary terms are
-    scattered in chunks of O(N), so temporaries stay O(D N). The constant
+    binned in chunks of O(N / D), so the chunks stay O(N) values. The constant
     part is summed twice, weighting each pair's rounding by up to T: the
     error grows as O(S^2 T eps), where prefix sums give O(S T eps). G(0) is
     real, from the heads: the L_s rows of stretch s sum ee to E_s expm1(L_s ln q)
@@ -124,35 +113,61 @@ def accumulate_kernel(schedule: PulseSchedule, params: SimParams,
     order = np.argsort(key, kind="stable")
     first = np.flatnonzero(np.diff(key[order], prepend=-1))
     key, vals = key[order][first], np.add.reduceat(vals[order], first, axis=0)
-    d = s.coef.shape[1]
-    acc = np.zeros((2, d, n + 2), complex)  # both impulse trains; slot n + 1 takes the overflow
-    flat, rows, budget = acc.reshape(-1), (n + 2) * np.arange(2 * d)[:, None, None], 4 * (n + 1)
-    for c in (0, 1):
-        on = key // (n + 2) == c
-        # C order, so that the products below ravel without a copy
-        p, x, v = key[on] % (n + 2), vals[on, 0].T.copy(), vals[on, 1:].transpose(1, 2, 0).copy()
-        # the boundary at p[t] reaches the impulses p[:t] at n + 1 - p[t] + p[k];
-        # boundaries [i, j) against impulses [:j] make about budget pairs
-        i = 1
-        while i < p.size:
-            j = min(p.size, max(i + 1, int((i + math.sqrt(i * i + 4 * budget)) / 2)))
-            at = np.minimum(n + 1 - p[i:j, None] + p[:j], n + 1)
-            pairs = x[None, :, i:j, None] * v[:, :, None, :j]
+    d, lq = s.coef.shape[1], math.log(q)
+    # C order, so that the products below ravel without a copy
+    p, x, v = key % (n + 2), vals[:, 0].T.copy(), vals[:, 1:].transpose(1, 2, 0).copy()
+    columns = slice(0, mid := np.searchsorted(key, n + 2)), slice(mid, None)  # columns 0, 1
+    # bit L + 1 of seen: a pair stops at lag L; each column's bit set shifted by its positions
+    seen = 0
+    for ks in [p[col].tolist() for col in columns]:
+        row = sum(1 << k for k in ks)
+        for k in ks:
+            seen |= row >> k
+    u = seen.bit_count() - 1  # breakpoints; bit 0 is the pairs k = t
+    seen = np.unpackbits(np.frombuffer(seen.to_bytes((n + 9) // 8, "little"), np.uint8),
+                         count=n + 2, bitorder="little").view(bool)
+    # cells: runs between breakpoints, cut at multiples of w, and q^-w <= e
+    w = max(1, min(int(-1.0 / lq), max(math.isqrt(2 * d * (n + 1) // u), (n + 1) // (2 * u)) + 1))
+    seen[:n + 1:w] = seen[n + 1] = True
+    edges = np.flatnonzero(seen)
+    starts, ell, m = edges[:-1], edges[1:] - edges[:-1], edges.size - 1
+    slot = np.zeros(2 * (n + 2), np.intp)  # slot[L + 1] = 2 + the cell that ends at lag L
+    slot[edges] = np.arange(1, m + 2)
+    acc = np.zeros((2, d, m + 2), complex)  # both impulse trains per cell; slots 0, 1 take k >= t
+    flat, rows = acc.reshape(-1), (m + 2) * np.arange(2 * d)[:, None, None]
+    # boundaries [i, j) of a column against its impulses [:j], about 2 (N + 1) / D pairs;
+    # p[t] - p[k] is L + 1 for k < t, and <= 0 for k >= t, which slot sends to 0 or 1
+    for col in columns:
+        pc, xc, vc, i = p[col], x[:, col], v[:, :, col], 1
+        while i < pc.size:
+            j = min(pc.size, max(i + 1, int((i + math.sqrt(i * i + 8 * (n + 1) / d)) / 2)))
+            at = slot[pc[i:j, None] - pc[:j]]  # both live on into the next chunk: freed
+            pairs = xc[None, :, i:j, None] * vc[:, :, None, :j]  # first, its own take fresh pages
             np.add.at(flat, (rows + at).ravel(), pairs.ravel())
             i = j
-    lags = acc[:, :, :n + 1]  # the filters run in place: rows ee, then constant
-    lags[0] = decay_recurrence(lags[0], q)
-    np.cumsum(lags, axis=-1, out=lags)
-    np.cumsum(lags[1], axis=-1, out=lags[1])
-    envelope = exp_powers(s.rate + 1j * s.phase, n)
-    envelope *= dt * weights[:, None]
-    g1, g2 = np.einsum("dj,rdj->rj", envelope, lags[:, :, ::-1])
+    del slot, at, pairs
+    # at each cell start s, over the pairs past it (K = L - s): sum ee q^(K + 1) by a scan down
+    # the cells; as running sums, sum c, sum c (K + 1) and sum ee h(K) (sum ee q^K over lags >= s)
+    f, z = np.exp(ell * lq), s.rate + 1j * s.phase
+    co = np.empty((2, 2, d, m), complex)  # [ee, c] x [h(K) or K + 1, q^(K + 1) or 1]
+    decay_scan(np.multiply(f, acc[0, :, 2:], out=co[0, 1]), f)
+    np.cumsum(acc[1, :, :1:-1], axis=-1, out=co[1, 1, :, ::-1])
+    np.multiply(co[:, 1], np.stack([np.expm1(-ell * lq) / -math.expm1(lq), ell])[:, None],
+                out=co[:, 0])
+    np.cumsum(co[:, 0, :, ::-1], axis=-1, out=co[:, 0, :, ::-1])
+    co *= np.exp(np.multiply.outer(z, starts))
+    # lag s + r of a cell: G1 from e^{rz} (sum ee h(K) - q^-r h(r - 1) sum ee q^(K + 1)),
+    # G1 + G2 from e^{rz} (sum c (K + 1) - r sum c), one product per family
+    r = np.arange(ell.max())
+    tab = np.stack([np.ones(r.size), np.expm1(-r * lq) / math.expm1(lq), np.ones(r.size), -r])
+    tab = tab[:, None] * (dt * weights[:, None] * np.exp(np.multiply.outer(z, r)))
+    out = np.matmul(co.reshape(2, 2 * d, m).transpose(0, 2, 1), tab.reshape(2, 2 * d, r.size))
+    g1, g2 = np.take(out.reshape(2, -1), np.flatnonzero(ell[:, None] > r), axis=1)
     g2 -= g1
-    del acc, flat, lags, envelope  # before the kernel copies g1 and g2
+    del co, out  # before the kernel copies g1 and g2
     # G(0): stretch sums of ee = E q^j and of ee + gg = E + G; rows 0 and n at half weight
-    x = math.log(q)
-    ee_sum = s.ee @ np.expm1((b - a) * x) / math.expm1(x)
-    fall = s.ee[-1] * math.expm1((n - a[-1]) * x)  # ee at row n less its head
+    ee_sum = s.ee @ np.expm1((b - a) * lq) / math.expm1(lq)
+    fall = s.ee[-1] * math.expm1((n - a[-1]) * lq)  # ee at row n less its head
     g1[0] = dt * (ee_sum - 0.5 * (s.ee[0] + s.ee[-1] + fall))
     g2[0] = dt * ((s.ee + s.gg) @ (b - a) - ee_sum - 0.5 * (s.gg[0] + s.gg[-1] - fall))
     return CorrelationKernel(g1=g1, g2=g2, params=params,

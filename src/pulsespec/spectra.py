@@ -96,6 +96,11 @@ def spectrum_from_kernel(kernel: CorrelationKernel,
     """
     omega = check_omega_grid(omega_grid)
     n, m = kernel.g1.size, omega.size
+    nyquist, reach = math.pi / kernel.params.dt, max(-omega[0], omega[-1])
+    if reach > nyquist:
+        warnings.warn(f"omega grid reaches {reach:g}, past the Nyquist frequency pi/dt = "
+                      f"{nyquist:g}: the spectrum repeats every 2 pi/dt = {2 * nyquist:g}",
+                      stacklevel=2)
     dw = (omega[-1] - omega[0]) / max(m - 1, 1)
     pre, windows, post = _plan(n, m, float(omega[0]), float(dw), kernel.params.dt)
     nb, size = windows.shape

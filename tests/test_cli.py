@@ -632,6 +632,19 @@ def test_meta_warnings_empty_when_none_fire(tmp_path, capsys):
     assert read_meta(out)["warnings"] == ""
 
 
+def test_grid_past_the_nyquist_frequency_warns(tmp_path, capsys):
+    # dt = 0.5 aliases the default [-40, 40] grid: pi/dt = 6.28, period 2 pi/dt = 12.6
+    out = tmp_path / "n.csv"
+    assert main(["--protocol", "none", "--t-end", "1", "--dt", "0.5", "-o", str(out)]) == 0
+    note = ("omega grid reaches 40, past the Nyquist frequency pi/dt = 6.28319: "
+            "the spectrum repeats every 2 pi/dt = 12.5664")
+    assert f"warning: {note}\n" in capsys.readouterr().err
+    assert note in read_meta(out)["warnings"].split(" | ")
+    # dt = 1/16: pi/dt = 50.3 lies past the grid
+    assert main(["--protocol", "none", "--t-end", "1", "--dt", "0.0625", "-o", str(out)]) == 0
+    assert "Nyquist" not in capsys.readouterr().err + read_meta(out)["warnings"]
+
+
 def run_module(argv, module="pulsespec", **env):
     env = dict(os.environ, PYTHONPATH=str(Path(pulsespec.__file__).parents[1]), **env)
     return subprocess.run([sys.executable, "-m", module, *argv], env=env,

@@ -386,6 +386,9 @@ PAPER_SCHEDULES = {
 #: the nine-detuning mixture of the benchmark's detuning averages, about 0
 NINE_OFFSETS = np.array([-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
 NINE_WEIGHTS = np.array([0.04, 0.08, 0.12, 0.16, 0.2, 0.16, 0.12, 0.08, 0.04])
+#: a Gaussian of width 1 about detuning 3, by 33-node Gauss-Hermite quadrature
+_GH = np.polynomial.hermite.hermgauss(33)
+WIDE_MIXTURE = 3.0 + np.sqrt(2.0) * _GH[0], _GH[1] / np.sqrt(np.pi)
 
 
 class TestAgainstPrefixSums:
@@ -413,16 +416,17 @@ class TestAgainstPrefixSums:
                    [3.0], [1.0])
 
     def test_steps_longer_than_the_decay_time(self):
-        # gamma dt = 1.5: the recurrence runs in blocks of one step, 2401 of them
+        # gamma dt = 1.5: q = 0.27 < 1/e, so every lag is a cell, 2401 of them
         self.check(uhrig_schedule(12, 2.4), SimParams(gamma=1500.0, t_end=2.4, dt=1e-3),
                    [3.0], [1.0])
 
-    @pytest.mark.parametrize("centre", [0.0, 3.0, 6.0])
-    @pytest.mark.parametrize("protocol", ["pz", "uhrig"])
-    def test_nine_detuning_mixtures(self, protocol, centre):
-        self.check(PAPER_SCHEDULES[protocol],
-                   SimParams(gamma=2.0, t_end=2.4, dt=1e-3),
-                   centre + NINE_OFFSETS, NINE_WEIGHTS)
+    @pytest.mark.parametrize("protocol, mixture", [
+        *((p, (c + NINE_OFFSETS, NINE_WEIGHTS)) for p in ("pz", "uhrig") for c in (0.0, 3.0, 6.0)),
+        ("uhrig", WIDE_MIXTURE), ("pxpy", WIDE_MIXTURE),
+    ], ids=[*(f"{p}-{c}" for p in ("pz", "uhrig") for c in (0.0, 3.0, 6.0)),
+            "uhrig-wide", "pxpy-wide"])
+    def test_nine_detuning_mixtures(self, protocol, mixture):
+        self.check(PAPER_SCHEDULES[protocol], SimParams(gamma=2.0, t_end=2.4, dt=1e-3), *mixture)
 
     def test_dense_run(self):
         sched, params, delta = TestKernelAgainstOracles.dense_run()
@@ -514,6 +518,8 @@ class TestStretchTable:
 
 
 class TestDecayRecurrence:
+    """``decay_scan``, the kernel's scan down its cells, against a loop."""
+
     @staticmethod
     def loop(u, q):
         y = np.zeros_like(u)
@@ -523,14 +529,15 @@ class TestDecayRecurrence:
         return y
 
     @pytest.mark.parametrize("gamma_dt, size, rows", [
-        (1e-3, 700, ()),      # one block of 1000 steps, partly filled
-        (1e-12, 50, ()),      # q^-b <= e holds for b = 1e12: one block of 50
-        (0.1, 2001, ()),      # gamma T = 200: 201 blocks of 10 steps
-        (1.5, 300, ()),       # q = 0.27 < 1/e: blocks of one step
+        (1e-3, 700, ()),      # factors near one: the sum runs over the whole array
+        (1e-12, 50, ()),      # factors one to 1e-12
+        (0.1, 2001, ()),      # gamma T = 200: the products fall to e^-200
+        (1.5, 300, ()),       # q = 0.27 < 1/e
         (2.78, 500, ()),      # at the edge of the RK4 region q nears 1 again
         (0.01, 1234, (3,)),   # complex rows
     ])
     def test_matches_the_loop(self, gamma_dt, size, rows):
+        # with a constant factor the scan, run backwards, is y[i] = q y[i - 1] + u[i]
         q = step_multipliers(gamma_dt, 0.0, 1.0)[0]
         assert 0.0 < q < 1.0
         rng = np.random.default_rng(7)
@@ -538,8 +545,23 @@ class TestDecayRecurrence:
         u[..., rng.integers(0, size, 5)] += 50.0  # impulses, as the kernel drives it
         if rows:
             u = u + 1j * rng.normal(size=u.shape)
-        got, want = correlations.decay_recurrence(u, q), self.loop(u, q)
+        got = correlations.decay_scan(u[..., ::-1].copy(), np.full(size, q))[..., ::-1]
+        want = self.loop(u, q)
         assert got.shape == u.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 64, 65, 1000])
+    def test_factors_that_vary_per_step(self, size):
+        # as over the kernel's cells: factors q^len, lengths 1 to 40 at gamma dt = 0.025
+        rng = np.random.default_rng(size)
+        f = step_multipliers(0.025, 0.0, 1.0)[0] ** rng.integers(1, 41, size)
+        u = rng.normal(size=(2, size)) + 1j * rng.normal(size=(2, size))
+        want, prev = np.zeros_like(u), np.zeros(2, complex)
+        for i in range(size - 1, -1, -1):
+            want[:, i] = prev = f[i] * prev + u[:, i]
+        factors = f.copy()
+        got = correlations.decay_scan(u, f)
+        assert got is u and np.array_equal(f, factors)  # in place on y, f untouched
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 

@@ -300,19 +300,33 @@ class TestWorkingSet:
     PARAMS = SimParams(gamma=2.0, t_end=16.0, dt=1e-3)
     SCHEDULE = uhrig_schedule(24, 16.0)
     OMEGA = default_omega_grid(-10.0, 10.0, 0.05)
-    UNIT = (PARAMS.n_steps + 1) * np.dtype(complex).itemsize
 
-    def peak(self, call):
+    def peak(self, call, params=PARAMS):
         tracemalloc.start()
         try:
             call()
-            return tracemalloc.get_traced_memory()[1] / self.UNIT
+            unit = (params.n_steps + 1) * np.dtype(complex).itemsize
+            return tracemalloc.get_traced_memory()[1] / unit
         finally:
             tracemalloc.stop()
 
     def test_kernel(self):
         assert self.peak(lambda: accumulate_kernel(self.SCHEDULE, self.PARAMS,
                                                    [2.0], [1.0])) <= 7
+
+    def test_kernel_of_a_dense_train(self):
+        # px-1600: 1601 stretches, about 2.6 million pairs binned in chunks
+        sched = periodic_schedule([PulseAxis.X], 0.01, 1600)
+        assert self.peak(lambda: accumulate_kernel(sched, self.PARAMS, [2.0], [1.0])) <= 23
+
+    def test_kernel_does_not_grow_with_the_detunings(self):
+        # a 33-node Gauss-Hermite mixture on uhrig-12 at N = 2400; a (D, N + 1)
+        # array per lag pass would take 33 arrays each
+        params = SimParams(gamma=2.0, t_end=2.4, dt=1e-3)
+        x, w = np.polynomial.hermite.hermgauss(33)
+        assert self.peak(lambda: accumulate_kernel(uhrig_schedule(12, 2.4), params,
+                                                   3.0 + np.sqrt(2) * x, w / np.sqrt(np.pi)),
+                         params) <= 35
 
     @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
                         reason="numpy < 2 copies an FFT's input to pad it")
