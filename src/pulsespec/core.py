@@ -38,7 +38,7 @@ class PulseEvent:
 class PulseSchedule:
     """Ordered instantaneous-pulse events over an observation window [0, T].
 
-    Invariants: finite event times, strictly increasing, in (0, window_end].
+    Invariants: finite event times, strictly increasing, in (0, window_end]; PulseAxis axes.
     """
 
     events: tuple[PulseEvent, ...]
@@ -54,6 +54,8 @@ class PulseSchedule:
                     f"pulse times must be finite, positive and strictly "
                     f"increasing; got {ev.time} after {prev}"
                 )
+            if not isinstance(ev.axis, PulseAxis):
+                raise ValueError(f"pulse at t={ev.time} has axis {ev.axis!r}, not a PulseAxis")
             prev = ev.time
         if self.events and self.events[-1].time > self.window_end * (1 + 1e-12):
             raise ValueError(

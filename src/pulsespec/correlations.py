@@ -56,14 +56,6 @@ from .core import CorrelationKernel, PulseSchedule, SimParams, check_mixture
 from .dynamics import grid_state
 
 
-def exp_powers(z: np.ndarray, n: int) -> np.ndarray:
-    """e^{j z}, j = 0..n, a row per z: e^{q b z} e^{r z}, j = q b + r, b = isqrt(n) + 1."""
-    b = math.isqrt(n) + 1
-    r = np.arange(b)
-    hi, lo = np.exp(np.multiply.outer(z, b * r)), np.exp(np.multiply.outer(z, r))
-    return (hi[:, :, None] * lo[:, None, :]).reshape(z.size, b * b)[:, :n + 1]
-
-
 def decay_scan(y: np.ndarray, f: np.ndarray) -> np.ndarray:
     """y[..., i] += f[i] y[..., i + 1] along the last axis from the end, in place, for 0 < f <= 1:
     log2 of the size doubling passes, each factor a product of the f, so at most one."""

@@ -49,9 +49,7 @@ def apply_pulse(state: tuple, axis: PulseAxis) -> tuple:
         return gg, ee, eg, ge
     if axis is PulseAxis.Y:
         return gg, ee, -eg, -ge
-    if axis is PulseAxis.Z:
-        return ee, gg, -ge, -eg
-    raise ValueError(f"unknown pulse axis {axis!r}")
+    return ee, gg, -ge, -eg  # Z
 
 
 def step_multipliers(h: float, delta: float, gamma: float) -> tuple[float, complex]:

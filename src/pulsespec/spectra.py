@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import (CorrelationKernel, PulseSchedule, SimParams, SpectrumResult,
                    check_omega_grid)
-from .correlations import accumulate_kernel, exp_powers
+from .correlations import accumulate_kernel
 
 
 def fft_length(n: int) -> int:
@@ -45,31 +45,20 @@ def fft_length(n: int) -> int:
     return best
 
 
-def _chirp(alpha: float, size: int) -> np.ndarray:
-    """e^{-i alpha j^2}, j < size: with j = q b + r, b = isqrt(size) + 1, it is
-    e^{-i alpha (q b)^2} e^{-i alpha r^2} times ``exp_powers``' e^{-2 i alpha b k} at
-    k = q r, O(sqrt(size)) exps. Each phase is alpha times exact integers, so the
-    error is a few eps of 1 + alpha j^2, as for one exp per point.
-    """
-    b = math.isqrt(size) + 1
-    q, r = np.arange(-(-size // b)), np.arange(b)
-    cross = exp_powers(np.array([-2j * alpha * b]), q[-1] * r[-1])[0]
-    rows = np.exp(-1j * alpha * (b * q) ** 2)[:, None] * np.exp(-1j * alpha * (r * r))
-    return (rows * cross[np.multiply.outer(q, r)]).ravel()[:size]
-
-
 @functools.lru_cache(maxsize=1)
 def _plan(n: int, m: int, omega0: float, dw: float, dtheta: float):
     """Read-only (pre, windows, post) of the transform of n lags onto m frequencies:
     trapezoid weights x e^{-i omega_0 theta_n} x c_n, the FFTs of conj(c) at the
-    offsets k - n of each block, and c_k, with c_j = e^{-i dw dtheta j^2 / 2}.
+    offsets k - n of each block, and c_k, with c_j = e^{-i dw dtheta j^2 / 2}. Each
+    phase is one rounding of a float times an exact integer, one exp per point.
     """
     nb = max(1, n // (4 * m))
     blen = -(-n // nb)
-    chirp = _chirp(0.5 * dw * dtheta, max(nb * blen, m))
+    j = np.arange(max(nb * blen, m))
+    chirp = np.exp(-1j * (0.5 * dw * dtheta) * (j * j))
     wq = np.full(n, dtheta)
     wq[0] = wq[-1] = 0.5 * dtheta
-    pre = wq * exp_powers(np.array([-1j * omega0 * dtheta]), n - 1)[0] * chirp[:n]
+    pre = wq * np.exp(-1j * (omega0 * dtheta) * j[:n]) * chirp[:n]
     # conj(c) at the offsets 1 - nb*blen .. m - 1; block b's starts at (nb - 1 - b)*blen
     offsets = np.concatenate([chirp[nb * blen - 1:0:-1], chirp[:m]]).conj()
     windows = np.stack([offsets[i:i + blen + m - 1]

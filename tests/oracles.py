@@ -27,7 +27,6 @@ import numpy as np
 
 from pulsespec import PulseAxis, accumulate_kernel, density_trajectory, spectrum_from_kernel
 from pulsespec.core import check_mixture, window_tol
-from pulsespec.correlations import exp_powers
 from pulsespec.dynamics import TIME_SNAP, GridState, apply_pulse, grid_state, step_multipliers
 
 PAULI = {
@@ -288,7 +287,8 @@ def prefix_sum_kernel(schedule, params, deltas, weights):
     rev = np.zeros(lam.shape[1:], complex)
     for (m, c), x in terms.items():
         rev[:, :, n + 1 - m:] += lam[c, :, :, :m] * x[:, None, None]
-    envelope = weights[:, None] * exp_powers(s.rate + 1j * s.phase, n)
+    z = s.rate + 1j * s.phase
+    envelope = weights[:, None] * np.exp(np.multiply.outer(z, np.arange(n + 1)))
     g = np.einsum("dj,dfj->fj", envelope, rev[:, :, ::-1])
     g[:, 0] = seeds.sum(axis=1)
     return g[0], g[1]

@@ -129,6 +129,14 @@ class TestPulseSchedule:
         with pytest.raises(ValueError, match="outside the window"):
             PulseSchedule(events=(PulseEvent(1.5, PulseAxis.X),), window_end=1.0)
 
+    @pytest.mark.parametrize("bad", ["x", None, 0])
+    def test_axis_that_is_not_a_pulse_axis_rejected(self, bad):
+        # caught with the times, not later by digest() or the pulse maps
+        with pytest.raises(ValueError, match=r"pulse at t=0\.5 has axis .*not a PulseAxis"):
+            PulseSchedule(events=(PulseEvent(0.5, bad),), window_end=1.0)
+        with pytest.raises(ValueError, match=r"pulse at t=0\.4 has axis 'x'"):
+            periodic_schedule([PulseAxis.Y, "x"], 0.2, 3)
+
     def test_pulse_at_window_end_allowed(self):
         s = PulseSchedule(events=(PulseEvent(1.0, PulseAxis.Z),), window_end=1.0)
         assert s.events[-1].time == 1.0

@@ -565,34 +565,6 @@ class TestDecayRecurrence:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-class TestExpPowers:
-    EPS = np.finfo(float).eps
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 15, 16, 17, 2400, 16000, 100_000])
-    def test_within_4_ulp_of_exp_where_the_exponents_are_exact(self, n):
-        # dyadic z: every j*z is exact, so np.exp(j*z) carries no argument
-        # rounding and the gap is the tables' own
-        z = np.array([-3 / 1024 + 5j / 2048, -1 / 4096 - 7j / 1024, 1j / 256, -1 / 512])
-        got = correlations.exp_powers(z, n)
-        want = np.exp(np.multiply.outer(z, np.arange(n + 1)))
-        assert got.shape == want.shape == (4, n + 1)
-        assert np.max(np.abs(got - want) / np.abs(want)) <= 4 * self.EPS
-
-    @pytest.mark.parametrize("n", [2400, 100_000])
-    def test_as_close_to_the_exact_powers_as_exp(self, n):
-        # generic z: both round the exponent, by up to |j z| eps; measured
-        # against long-double powers, the tables add at most 4 ulp
-        z = np.array([np.log(0.999) + 0.0031j, -0.001 - 0.00517j])
-        j = np.arange(n + 1)
-        exact = np.exp(np.multiply.outer(z.astype(np.clongdouble), j.astype(np.longdouble)))
-
-        def err(values):
-            return float(np.max(np.abs(values - exact) / np.abs(exact)))
-
-        got = correlations.exp_powers(z, n)
-        assert err(got) <= err(np.exp(np.multiply.outer(z, j))) + 4 * self.EPS
-
-
 @st.composite
 def mixtures(draw):
     """A ``coarse_runs`` schedule and a detuning mixture for it.

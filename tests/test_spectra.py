@@ -28,9 +28,10 @@ from pulsespec import (
     spectrum_from_kernel,
     uhrig_schedule,
 )
-from pulsespec import spectra
+from pulsespec import cli, spectra
 from pulsespec.spectra import fft_length
 
+from bench import workloads
 from oracles import per_detuning_average, row_loop_kernel
 from peaks import dominant_peaks, full_width_half_max, local_maxima, smooth3
 
@@ -278,20 +279,42 @@ class TestPlan:
             with pytest.raises(ValueError, match="read-only"):
                 a *= 2.0
 
-    @pytest.mark.parametrize("alpha, size", [
-        (0.5 * 0.025 * 1e-3, 3201),   # paper: dw 0.025, dt 1e-3, M = 3201
-        (0.5 * 0.05 * 1e-3, 16002),   # long-window: N + 1 = 16001 in 9 blocks
-        (0.5 * 0.5 * 0.01, 241),      # smoke: dw 0.5, dt 0.01
-        (0.5 * 0.5 * 0.01, 1602),
-        (1.7, 1), (1.7, 2), (0.3, 15), (0.3, 16), (0.3, 17),
-        (1e-3, 16128), (1e-3, 16129), (1e-3, 16130), (1.7, 200_000),
+    @pytest.mark.parametrize("n, m, omega0, dw, dtheta", [
+        (2401, 3201, -40.0, 0.025, 1e-3),   # paper
+        (16001, 401, -10.0, 0.05, 1e-3),    # long-window: 9 blocks
+        (241, 161, -40.0, 0.5, 0.01),       # paper and detuning-avg, smoke
+        (1601, 41, -10.0, 0.5, 0.01),       # long-window, smoke
+        (200_000, 10, -7.0, 0.4, 0.05),     # 5000 blocks
     ])
-    def test_table_chirp_is_one_exp_per_point(self, alpha, size):
-        j = np.arange(size, dtype=float)
-        want = np.exp(-1j * alpha * j * j)
-        got = spectra._chirp(alpha, size)
-        assert got.shape == (size,)
-        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * (1 + alpha * j * j))
+    def test_plan_is_one_exp_per_point(self, n, m, omega0, dw, dtheta):
+        # against long-double exponentials of the same phases, within a few
+        # eps of 1 + |phase|: one rounding of a float times an exact integer
+        pre, _, post = spectra._plan(n, m, omega0, dw, dtheta)
+        eps = np.finfo(float).eps
+        ld = np.longdouble
+        j = np.arange(max(n, m)).astype(ld)
+        chirp = ld(0.5) * ld(dw) * ld(dtheta) * j * j
+        assert post.shape == (m,)
+        assert np.all(np.abs(post - np.exp(-1j * chirp[:m])) <= 4 * eps * (1 + chirp[:m]))
+        demod = ld(omega0) * ld(dtheta) * j[:n]
+        weight = np.full(n, dtheta)
+        weight[0] = weight[-1] = 0.5 * dtheta
+        want = weight * np.exp(-1j * (demod + chirp[:n]))
+        assert pre.shape == (n,)
+        assert np.all(np.abs(pre - want) <= 4 * eps * (1 + np.abs(demod) + chirp[:n]) * weight)
+
+    def test_the_paper_runs_share_one_plan(self, tmp_path, capsys):
+        # protocol, detuning and mixture leave the plan key as it is: px's
+        # T = 12 * 0.2 = 2.4000000000000004 and uhrig's T = 2.4 give one n
+        paper = [workloads.smoke_case(c) for c in workloads.workload_cases("paper")]
+        average = workloads.smoke_case(workloads.workload_cases("detuning-avg")[0])
+        runs = [case.argv for case in paper] + [average.argv]
+        assert len(runs) == 5 * len(workloads.PAPER_DELTAS) + 1
+        out = ["--output", str(tmp_path / "x.csv")]
+        spectra._plan.cache_clear()
+        assert [cli.main([*argv, *out]) for argv in runs] == [0] * len(runs)
+        capsys.readouterr()
+        assert spectra._plan.cache_info().misses == 1
 
 
 class TestWorkingSet:

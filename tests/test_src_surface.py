@@ -7,7 +7,7 @@ and method defined under ``src/pulsespec`` that no call entered. The
 functions the benchmark's spans wrap (``pulsebench/spans.py``) must exist.
 """
 
-import importlib.util
+import importlib
 import inspect
 import pkgutil
 import sys
@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pulsespec
 from pulsespec import cli, spectra
+
+from bench import load
 
 SRC = Path(pulsespec.__file__).resolve().parent
 
@@ -92,13 +94,9 @@ def test_every_src_function_is_reached_from_the_cli(tmp_path, capsys):
     assert unreached == NOT_ON_THE_CLI_PATH
 
 
-def test_every_benchmark_span_target_exists(monkeypatch):
+def test_every_benchmark_span_target_exists():
     # the benchmark drops its self-time metrics when one of these is gone
-    path = Path(__file__).resolve().parents[1] / "pulsebench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("pulsebench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
-    spec.loader.exec_module(spans)
+    spans = load("spans")
     missing = []
     for name, (module, attrs) in spans.LAYERS.items():
         obj = importlib.import_module(module)
