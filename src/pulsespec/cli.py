@@ -4,11 +4,11 @@ Configuration comes from command-line flags, optionally layered on top of a
 plain ``key=value`` file (a ``#`` at the start of a line or after whitespace
 starts a comment); flags win. Results go to a CSV (one row per frequency)
 with a ``<output>.meta`` sidecar recording every resolved parameter, the
-emission sum rule (single runs and detuning averages alike), the kernel and
-transform methods, the warnings raised, the problem sizes and the package
-and numpy versions, and optionally a gnuplot script, which may not share a
-path with either. ``python -m pulsespec`` and ``python -m pulsespec.cli``
-run the same front-end.
+emission sum rule on every grid (single runs and averages alike), the
+kernel and transform methods, the warnings raised, the problem sizes and
+the package and numpy versions, and optionally a gnuplot script, which may
+not share a path with either. ``python -m pulsespec``, ``python -m
+pulsespec.cli`` and the ``pulsespec`` console script run the same ``main``.
 
 Every CSV value is written exactly as ``"%.11e" % x`` writes it. The text
 of the whole table is built in a few numpy passes (``_format_e11``); ``%``
@@ -317,7 +317,7 @@ def _meta_value(value) -> str:
 
 
 def _write_metadata(f: BinaryIO, config: RunConfig, spec: SpectrumResult, deltas: np.ndarray,
-                    sum_rule: tuple[float, float] | None, notes: list[str]) -> None:
+                    sum_rule: tuple[float, float], notes: list[str]) -> None:
     """Write the .meta record; ``deltas`` are the detunings computed, from ``validate``.
 
     It opens with the RunConfig fields but the output paths, delta, t_end and
@@ -330,8 +330,7 @@ def _write_metadata(f: BinaryIO, config: RunConfig, spec: SpectrumResult, deltas
                   average_deltas=pairs)
     del record["output_path"], record["plot_script"]
     record["schedule_digest"] = spec.kernel.schedule_digest + (f" avg[{pairs}]" if pairs else "")
-    if sum_rule is not None:
-        record["sum_rule_lhs"], record["sum_rule_rhs"] = sum_rule
+    record["sum_rule_lhs"], record["sum_rule_rhs"] = sum_rule
     record.update(kernel_method="stretch-impulses", transform_method="chirp-z",
                   warnings=" | ".join(notes), n_steps=params.n_steps, n_omega=spec.omega.size,
                   n_deltas=deltas.size, pulsespec_version=__version__,
@@ -403,15 +402,13 @@ def run(config: RunConfig) -> SpectrumResult:
     if config.plot_script:
         outputs.append(config.plot_script)
     with _opened_outputs(outputs) as files:
-        sum_rule = None
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             spec = detuning_average(schedule, params, deltas, weights, omega)
             if not (np.isfinite(spec.emission).all()
                     and np.isfinite(spec.direct_absorption).all()):
                 raise ArithmeticError("the spectrum is not finite; nothing written")
-            with contextlib.suppress(ValueError):  # a grid outside the sum rule's validity
-                sum_rule = emission_sum_rule(spec)
+            sum_rule = emission_sum_rule(spec)
         notes = list(dict.fromkeys(str(w.message) for w in caught))
         for note in notes:
             print(f"warning: {note}", file=sys.stderr)
@@ -439,9 +436,5 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def console_entry() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    console_entry()
+    raise SystemExit(main())

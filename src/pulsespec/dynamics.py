@@ -130,13 +130,14 @@ def grid_state(schedule: PulseSchedule, params: SimParams, deltas: np.ndarray) -
     deltas = np.array(deltas, dtype=float)
     decay, phases = stable_step(dt, deltas, gamma)
     log_decay, scales, phase = math.log(decay), np.abs(phases), np.angle(phases)
-    # pulse i acts in the interval (t_{m-1}, t_m], m = where[i]; pulses with
-    # m = 0 (within TIME_SNAP of t = 0) or m = n + 1 never act
-    where = np.searchsorted(np.arange(n + 1) * dt + snap, schedule.times).tolist()
+    # pulse i acts in the interval (t_{m-1}, t_m], m = where[i]; one past t_N
+    # (T may lie window_tol from it) acts in the last, one with m = 0 (within
+    # TIME_SNAP of t = 0) never
+    where = np.minimum(np.searchsorted(np.arange(n + 1) * dt + snap, schedule.times), n).tolist()
     state = (1.0, 0.0, 1.0, 0.0)  # ee, gg and the signed unit coherence (ge, eg)
     starts, heads, steps, flips, firsts = [0], [state], [], [], []
     for m, group in groupby(zip(where, schedule.events), key=lambda pair: pair[0]):
-        if not 0 < m <= n:
+        if not m:
             continue
         ee, gg, ge, eg = state
         x = (m - 1 - starts[-1]) * log_decay

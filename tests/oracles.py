@@ -102,7 +102,9 @@ def evolve_operator(rho, t_from, t_to, schedule, params, delta):
     step runs up to the pulse, the pulse acts, the step goes on to b. Times
     within TIME_SNAP*dt coincide, so a pulse that close to a is left out
     (it acted before), one that close to b acts at the end of the interval,
-    and no step shorter than that is taken.
+    and no step shorter than that is taken. The interval that ends at the
+    last grid point t_N also takes the pulses past it: T may lie up to
+    window_tol beyond t_N.
     """
     end = schedule.window_end
     if not 0.0 <= t_from <= t_to <= end + window_tol(end):
@@ -117,10 +119,11 @@ def evolve_operator(rho, t_from, t_to, schedule, params, delta):
     else:
         marks[-1] = t_to
     rho = np.array(rho, dtype=complex)
+    last = params.n_steps * dt
     for a, b in zip(marks[:-1], marks[1:]):
-        cur = a
+        cur, top = a, max(b, end) if abs(b - last) <= snap else b
         for ev in schedule.events:
-            if a + snap < ev.time <= b + snap:
+            if a + snap < ev.time <= top + snap:
                 if ev.time - cur > snap:
                     rho = rk4_oracle(rho, ev.time - cur, delta, params.gamma)
                 rho = PAULI[ev.axis] @ rho @ PAULI[ev.axis]
@@ -199,17 +202,15 @@ def _free_step(state, h, deltas, gamma):
 
 
 def _advance(state, t0, t1, events, dt, deltas, gamma):
-    """Evolve the state over the grid interval [t0, t1] and the pulses inside it.
+    """Evolve the state over the grid interval [t0, t1] and the pulses placed in it.
 
-    Each pulse in ``events`` that falls in the interval splits it, so the
-    pulse acts at its exact time. Pulses at exactly t0 are excluded, pulses
-    at exactly t1 included; times within TIME_SNAP*dt coincide.
+    Each pulse in ``events`` splits the interval, so it acts at its exact
+    time, which is past t1 for a pulse in the last interval that lies past
+    t_N; times within TIME_SNAP*dt coincide.
     """
     snap = TIME_SNAP * dt
     cur = t0
     for ev in events:
-        if ev.time <= t0 + snap or ev.time > t1 + snap:
-            continue
         if ev.time - cur > snap:
             state = _free_step(state, ev.time - cur, deltas, gamma)
         state = apply_pulse(state, ev.axis)
@@ -231,8 +232,10 @@ def interval_loop_grid_state(schedule, params, deltas):
     n, dt, gamma = params.n_steps, params.dt, params.gamma
     deltas = np.array(deltas, dtype=float)
     grid = np.arange(n + 1) * dt
-    where = np.searchsorted(grid + TIME_SNAP * dt, schedule.times)
-    starts = np.array([0, *np.unique(where[(where > 0) & (where <= n)])])
+    # pulses in (t_{m-1}, t_m] go to interval m; those past t_N up to T to the
+    # last, those within TIME_SNAP of t = 0 to none
+    where = np.minimum(np.searchsorted(grid + TIME_SNAP * dt, schedule.times), n)
+    starts = np.array([0, *np.unique(where[where > 0])])
     decay, phases = step_multipliers(dt, deltas, gamma)
     log_decay, scales, phase = math.log(decay), np.abs(phases), np.angle(phases)
     ee, gg = np.empty(starts.size), np.empty(starts.size)

@@ -632,6 +632,32 @@ def test_meta_warnings_empty_when_none_fire(tmp_path, capsys):
     assert read_meta(out)["warnings"] == ""
 
 
+@pytest.mark.parametrize("grid", [["--omega-min=-10", "--omega-max", "10"],
+                                  ["--omega-step", "0.5"]], ids=["narrow", "coarse"])
+def test_meta_records_the_sum_rule_on_any_grid(tmp_path, capsys, grid):
+    # the grid is too narrow or coarse to judge, so the pair is recorded unjudged
+    out = tmp_path / "s.csv"
+    argv = ["--protocol", "pz", "--n-pulses", "4", "--tau", "0.25", "--dt", "0.01", *grid]
+    assert main([*argv, "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    meta = read_meta(out)
+    assert list(meta) == META_KEYS and meta["warnings"] == ""
+    schedule, params, omega, _ = parse_config([*argv, "-o", str(out)]).validate()
+    spec = spectrum_from_kernel(accumulate_kernel(schedule, params, [0.0], [1.0]), omega)
+    assert (float(meta["sum_rule_lhs"]), float(meta["sum_rule_rhs"])) == emission_sum_rule(spec)
+
+
+def test_a_value_error_of_the_sum_rule_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    def failing(result):
+        raise ValueError("sum rule failed")
+
+    monkeypatch.setattr(cli, "emission_sum_rule", failing)
+    out = tmp_path / "s.csv"
+    assert main(["--protocol", "none", "--t-end", "1", "--dt", "0.01", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: sum rule failed\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_grid_past_the_nyquist_frequency_warns(tmp_path, capsys):
     # dt = 0.5 aliases the default [-40, 40] grid: pi/dt = 6.28, period 2 pi/dt = 12.6
     out = tmp_path / "n.csv"

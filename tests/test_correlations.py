@@ -323,6 +323,42 @@ class TestKernelAgainstOracles:
         assert np.max(np.abs(kern.g2 - g2)) < 1e-12
 
     @staticmethod
+    def pulse_past_the_last_grid_point(dt):
+        """px-10 at tau = 0.1 + 3e-11: the window end and last pulse lie 3e-10 past 1 = t_N.
+
+        SimParams accepts that T, within window_tol of t_N, and the pulse is
+        further past t_N than TIME_SNAP*dt. Returns the schedule, the same with
+        its last pulse moved onto t_N, and the SimParams.
+        """
+        sched = periodic_schedule([PulseAxis.X], 0.10000000003, 10)
+        params = SimParams(gamma=2.0, t_end=sched.window_end, dt=dt)
+        last = params.n_steps * dt
+        assert sched.events[-1].time - last > TIME_SNAP * dt
+        moved = PulseSchedule((*sched.events[:-1], PulseEvent(last, PulseAxis.X)),
+                              window_end=sched.window_end)
+        return sched, moved, params
+
+    def test_a_pulse_past_the_last_grid_point_acts_in_the_last_interval(self):
+        # it acts as the same pulse at t_N does, where dropping it moves P and
+        # P' by 1.5e-3 and 1.7e-3 of their peaks; the extra 3e-10 of free
+        # evolution moves them by 6e-13
+        sched, moved, params = self.pulse_past_the_last_grid_point(1e-3)
+        assert dynamics.grid_state(sched, params, [0.0]).starts.size == 11
+        got, want = (spectrum_from_kernel(accumulate_kernel(s, params, [0.0], [1.0]),
+                                          default_omega_grid()) for s in (sched, moved))
+        for name in ("emission", "direct_absorption"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert np.max(np.abs(g - w)) <= 1e-11 * np.max(w)
+
+    def test_window_just_above_the_step_lattice(self):
+        # the Lindblad oracle places the pulse past t_N in the last interval too
+        sched, _, params = self.pulse_past_the_last_grid_point(1e-2)
+        kern = accumulate_kernel(sched, params, [2.0], [1.0])
+        g1, g2 = row_loop_kernel(sched, params, 2.0)
+        assert np.max(np.abs(kern.g1 - g1)) < 1e-12
+        assert np.max(np.abs(kern.g2 - g2)) < 1e-12
+
+    @staticmethod
     def dense_run():
         """61 pulses and 61 stretches on a 90-step grid, at detuning 2.5.
 
@@ -626,7 +662,7 @@ class TestDetuningMixture:
     def test_grid_state_matches_the_interval_loop(self, n_deltas):
         # pxpy-240 at paper resolution; Y and off-grid Z trains; and the
         # dense run: a Z run on one column, two pulses in one grid interval,
-        # pulses within TIME_SNAP of a grid point and one at T
+        # pulses within TIME_SNAP of a grid point and one at T; and a pulse past t_N
         runs = [(periodic_schedule([PulseAxis.X, PulseAxis.Y], 0.01, 240),
                  SimParams(t_end=2.4, dt=1e-3)),
                 (periodic_schedule([PulseAxis.Y], 0.0537, 20),
@@ -634,7 +670,8 @@ class TestDetuningMixture:
                 (PulseSchedule(tuple(PulseEvent(0.013 + 0.0973 * k, PulseAxis.Z)
                                      for k in range(1, 11)), window_end=1.0),
                  SimParams(t_end=1.0, dt=1e-2)),
-                TestKernelAgainstOracles.dense_run()[:2]]
+                TestKernelAgainstOracles.dense_run()[:2],
+                TestKernelAgainstOracles.pulse_past_the_last_grid_point(1e-3)[::2]]
         deltas = np.linspace(-3.0, 6.0, n_deltas)
         for sched, params in runs:
             got = dynamics.grid_state(sched, params, deltas)

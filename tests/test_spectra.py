@@ -394,11 +394,23 @@ class TestSumRule:
         spec = spectrum_from_kernel(kern, GRID)
         assert emission_sum_rule(spec) == (0.0, 0.0)
 
-    def test_rejects_narrow_grid(self, free_decay):
-        _, kern, _ = free_decay
-        spec = spectrum_from_kernel(kern, default_omega_grid(-10, 10, 0.025))
-        with pytest.raises(ValueError, match="spanning"):
-            emission_sum_rule(spec)
+    @pytest.mark.parametrize("grid", [(-10.0, 10.0, 0.025), (-40.0, 40.0, 0.5)],
+                             ids=["narrow", "coarse"])
+    def test_sums_but_does_not_judge_a_narrow_or_coarse_grid(self, grid):
+        # the Z train warns twice on the default grid (see below); here the
+        # pair is still the trapezoid over the grid and G1(0), and nothing warns
+        sched = periodic_schedule([PulseAxis.Z], 0.2, 3)
+        kern = accumulate_kernel(sched, SimParams(t_end=0.6), [3.0], [1.0])
+        spec = spectrum_from_kernel(kern, default_omega_grid(*grid))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            lhs, rhs = emission_sum_rule(spec)
+        assert seen == []
+        p = spec.emission
+        assert lhs == pytest.approx((p.sum() - (p[0] + p[-1]) / 2) * grid[2] / (2 * np.pi),
+                                    rel=1e-12)
+        assert rhs == kern.g1[0].real
+        assert abs(lhs / rhs - 1.0) > 0.10
 
     def test_warns_when_edges_carry_weight(self):
         # pulsed kernels have slow spectral tails well beyond +-40

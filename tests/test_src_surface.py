@@ -21,12 +21,11 @@ from bench import load
 SRC = Path(pulsespec.__file__).resolve().parent
 
 #: code the command line does not reach, each entry with the caller outside src/
-#: that keeps it there (moving the first two waits for the benchmark to stop using them)
+#: that keeps it there (moving them waits for the benchmark to stop using them)
 NOT_ON_THE_CLI_PATH = {
     "density_trajectory",  # a layer pulsebench/spans.py times; the oracles' populations
     "CorrelationKernel.theta_grid",  # the lags pulsebench/gate.py reads; the transform needs
                                      # only their count
-    "console_entry",  # the console script pyproject.toml declares
 }
 
 
