@@ -6,8 +6,7 @@ starts a comment); flags win. Results go to a CSV (one row per frequency)
 with a ``<output>.meta`` sidecar recording every resolved parameter, the
 emission sum rule on every grid (single runs and averages alike), the
 kernel and transform methods, the warnings raised, the problem sizes and
-the package and numpy versions, and optionally a gnuplot script, which may
-not share a path with either. ``python -m pulsespec``, ``python -m
+the package and numpy versions. ``python -m pulsespec``, ``python -m
 pulsespec.cli`` and the ``pulsespec`` console script run the same ``main``.
 
 Every CSV value is written exactly as ``"%.11e" % x`` writes it. The text
@@ -43,7 +42,6 @@ from .spectra import detuning_average, emission_sum_rule
 _TAKES = {"none": {"t_end"}, "px": {"tau", "n_pulses"}, "pxpy": {"tau", "n_pulses"},
           "pz": {"tau", "n_pulses"}, "uhrig": {"t_end", "n_pulses"}}
 PROTOCOLS = tuple(_TAKES)
-OBSERVABLES = ("emission", "absorption", "both")
 _PERIODIC = {"px": [PulseAxis.X], "pxpy": [PulseAxis.X, PulseAxis.Y],
              "pz": [PulseAxis.Z]}
 CSV_HEADER = "omega,emission,direct_absorption,net_absorption"
@@ -62,11 +60,9 @@ _FLAGS = {
     "omega_min": dict(type=float),
     "omega_max": dict(type=float),
     "omega_step": dict(type=float),
-    "observable": dict(choices=OBSERVABLES),
     "output_path": dict(metavar="CSV"),
     "average_deltas": dict(metavar="D:W,D:W,...",
                            help="detuning:weight pairs for ensemble averaging"),
-    "plot_script": dict(metavar="FILE", help="also write a gnuplot script referencing the CSV"),
 }
 #: config-file key -> RunConfig field
 _KEYS = {("output" if field == "output_path" else field): field for field in _FLAGS}
@@ -90,10 +86,8 @@ class RunConfig:
     omega_min: float = -40.0
     omega_max: float = 40.0
     omega_step: float = 0.025
-    observable: str = "both"
     output_path: str | None = None
     average_deltas: list[tuple[float, float]] | None = None
-    plot_script: str | None = None
 
     def validate(self) -> tuple[PulseSchedule, SimParams, np.ndarray, tuple[np.ndarray, ...]]:
         """Check the configuration; return the schedule, SimParams, omega grid and mixture.
@@ -119,12 +113,6 @@ class RunConfig:
                     f"do not set it" if name == "t_end" else
                     f"{name}: not applicable to protocol {self.protocol!r}"
                 )
-        if self.observable not in OBSERVABLES:
-            raise ConfigError(f"observable: must be one of {'/'.join(OBSERVABLES)}, "
-                              f"got {self.observable!r}")
-        if self.plot_script and os.path.realpath(self.plot_script) in {
-                os.path.realpath(self.output_path + end) for end in ("", ".meta")}:
-            raise ConfigError("plot_script: must differ from the output CSV and its .meta")
         if self.average_deltas is not None and self.delta is not None:
             raise ConfigError("delta: not applicable with average_deltas")
         try:
@@ -164,7 +152,7 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def _build_parser() -> _Parser:
     """The parser of ``--config`` and of one flag per ``_FLAGS`` entry, default None."""
-    p = _Parser(prog="pulsespec", add_help=True, description=__doc__)
+    p = _Parser(prog="pulsespec", add_help=True, allow_abbrev=False, description=__doc__)
     p.add_argument("--config", metavar="FILE", help="key=value configuration file")
     for field, kwargs in _FLAGS.items():
         flags = ["--" + field.replace("_", "-")] if field != "output_path" else ["--output", "-o"]
@@ -213,7 +201,7 @@ def _read_config_file(path: str) -> dict:
         if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         field = _KEYS[key]
-        if field in ("output_path", "plot_script"):  # the file a flag of these bytes names
+        if field == "output_path":  # the file a flag of these bytes names
             value = os.fsdecode(value.encode("utf-8"))
         try:
             values[field] = _FLAGS[field].get("type", str)(value)
@@ -320,7 +308,7 @@ def _write_metadata(f: BinaryIO, config: RunConfig, spec: SpectrumResult, deltas
                     sum_rule: tuple[float, float], notes: list[str]) -> None:
     """Write the .meta record; ``deltas`` are the detunings computed, from ``validate``.
 
-    It opens with the RunConfig fields but the output paths, delta, t_end and
+    It opens with the RunConfig fields but the output path, delta, t_end and
     average_deltas as resolved (delta empty for an average); ``_meta_value``
     writes every value.
     """
@@ -328,7 +316,7 @@ def _write_metadata(f: BinaryIO, config: RunConfig, spec: SpectrumResult, deltas
     pairs = ",".join(f"{d:.17g}:{w:.17g}" for d, w in config.average_deltas or ())
     record = dict(vars(config), delta=None if pairs else deltas[0], t_end=params.t_end,
                   average_deltas=pairs)
-    del record["output_path"], record["plot_script"]
+    del record["output_path"]
     record["schedule_digest"] = spec.kernel.schedule_digest + (f" avg[{pairs}]" if pairs else "")
     record["sum_rule_lhs"], record["sum_rule_rhs"] = sum_rule
     record.update(kernel_method="stretch-impulses", transform_method="chirp-z",
@@ -336,33 +324,6 @@ def _write_metadata(f: BinaryIO, config: RunConfig, spec: SpectrumResult, deltas
                   n_deltas=deltas.size, pulsespec_version=__version__,
                   numpy_version=np.__version__)
     f.write("".join(f"{key}={_meta_value(value)}\n" for key, value in record.items()).encode())
-
-
-_PLOT_COLUMNS = {
-    "emission": [(b"emission", 2)],
-    "absorption": [(b"net absorption", 4)],
-    "both": [(b"emission", 2), (b"net absorption", 4)],
-}
-
-
-def _write_plot_script(f: BinaryIO, csv_path: str, observable: str) -> None:
-    """Write to ``f`` a gnuplot script plotting the CSV, named by its file-system bytes.
-
-    Inside gnuplot's single quotes a quote is doubled.
-    """
-    quoted = os.fsencode(csv_path).replace(b"'", b"''")
-    curves = b", ".join(
-        b"'%s' using 1:%d with lines title '%s'" % (quoted, col, label)
-        for label, col in _PLOT_COLUMNS[observable]
-    )
-    body = (
-        b"set datafile separator ','\n"
-        b"set xlabel 'omega'\n"
-        b"set ylabel 'spectrum (arb. units)'\n"
-        b"set key top right\n"
-        b"plot %s\n" % curves
-    )
-    f.write(body)
 
 
 @contextlib.contextmanager
@@ -398,10 +359,7 @@ def run(config: RunConfig) -> SpectrumResult:
     The configuration is validated and each output opened before computing.
     """
     schedule, params, omega, (deltas, weights) = config.validate()
-    outputs = [config.output_path, config.output_path + ".meta"]
-    if config.plot_script:
-        outputs.append(config.plot_script)
-    with _opened_outputs(outputs) as files:
+    with _opened_outputs([config.output_path, config.output_path + ".meta"]) as files:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             spec = detuning_average(schedule, params, deltas, weights, omega)
@@ -418,8 +376,6 @@ def run(config: RunConfig) -> SpectrumResult:
                 f.truncate(0)
         _write_csv(files[0], spec)
         _write_metadata(files[1], config, spec, deltas, sum_rule, notes)
-        if config.plot_script:
-            _write_plot_script(files[2], config.output_path, config.observable)
     return spec
 
 

@@ -20,7 +20,7 @@ from pulsespec.spectra import emission_sum_rule, spectrum_from_kernel
 
 META_KEYS = [
     "protocol", "delta", "gamma", "n_pulses", "tau", "t_end", "dt",
-    "omega_min", "omega_max", "omega_step", "observable", "average_deltas",
+    "omega_min", "omega_max", "omega_step", "average_deltas",
     "schedule_digest", "sum_rule_lhs", "sum_rule_rhs", "kernel_method",
     "transform_method", "warnings", "n_steps", "n_omega", "n_deltas",
     "pulsespec_version", "numpy_version",
@@ -141,18 +141,16 @@ def test_failed_run_leaves_existing_outputs_as_they_were(tmp_path, monkeypatch):
 
 
 def test_outputs_that_exist_are_replaced_whole(tmp_path):
-    argv = ["--protocol", "none", "--t-end", "1", "--dt", "0.01", "--plot-script"]
+    argv = ["--protocol", "none", "--t-end", "1", "--dt", "0.01"]
     fresh, old = tmp_path / "fresh", tmp_path / "old"
     fresh.mkdir()
     old.mkdir()
-    for name in ("x.csv", "x.csv.meta", "x.gp"):
+    for name in ("x.csv", "x.csv.meta"):
         (old / name).write_bytes(b"#" * 100_000)
     for d in (fresh, old):
-        assert main([*argv, str(d / "x.gp"), "-o", str(d / "x.csv")]) == 0
+        assert main([*argv, "-o", str(d / "x.csv")]) == 0
     for name in ("x.csv", "x.csv.meta"):
         assert (old / name).read_bytes() == (fresh / name).read_bytes()
-    assert (old / "x.gp").read_bytes() == (fresh / "x.gp").read_bytes().replace(
-        bytes(fresh), bytes(old))
 
 
 @pytest.mark.parametrize("exc", [
@@ -174,7 +172,6 @@ def test_memory_error_is_a_runtime_error(tmp_path, monkeypatch, capsys, exc):
 
 @pytest.mark.parametrize("outputs, blocker", [
     (["-o", "{dir}/missing/x.csv"], None),
-    (["-o", "{dir}/x.csv", "--plot-script", "{dir}/missing/x.gp"], None),
     (["-o", "{dir}/x.csv"], "x.csv.meta"),  # a directory where .meta goes
 ])
 def test_unwritable_output_fails_before_computing(tmp_path, monkeypatch, capsys,
@@ -193,14 +190,13 @@ def test_unwritable_output_fails_before_computing(tmp_path, monkeypatch, capsys,
 
 
 def test_existing_outputs_are_overwritten(tmp_path):
-    out, plot = tmp_path / "x.csv", tmp_path / "x.gp"
-    for path in (out, plot, tmp_path / "x.csv.meta"):
+    out = tmp_path / "x.csv"
+    for path in (out, tmp_path / "x.csv.meta"):
         path.write_text("old\n")
     assert main(["--protocol", "none", "--t-end", "1", "--dt", "0.01",
-                 "-o", str(out), "--plot-script", str(plot)]) == 0
+                 "-o", str(out)]) == 0
     assert out.read_text().startswith(CSV_HEADER + "\n")
     assert read_meta(out)["protocol"] == "none"
-    assert str(out) in plot.read_text()
 
 
 def write_config(tmp_path, text):
@@ -247,19 +243,10 @@ def test_hash_inside_a_config_value_is_kept(tmp_path, monkeypatch):
                                                           "run.cfg"]
 
 
-@pytest.mark.parametrize("plot", ["a.csv", "./a.csv", "a.csv.meta"])
-def test_plot_script_on_an_output_path_is_a_configuration_error(tmp_path, monkeypatch,
-                                                                capsys, plot):
-    monkeypatch.chdir(tmp_path)
-    argv = ["--protocol", "none", "--t-end", "1", "--dt", "0.01", "-o", "a.csv",
-            "--plot-script", plot]
-    assert main(argv) == 1
-    assert "configuration error: plot_script" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
 @pytest.mark.parametrize("line, message", [
     ("colour=blue", "unknown key 'colour'"),
+    ("plot_script=x.gp", "unknown key 'plot_script'"),  # not inputs: a stale file fails
+    ("observable=both", "unknown key 'observable'"),
     ("delta=fast", "delta: cannot parse 'fast'"),
 ])
 def test_bad_config_line_names_its_place(tmp_path, capsys, line, message):
@@ -268,6 +255,22 @@ def test_bad_config_line_names_its_place(tmp_path, capsys, line, message):
     err = capsys.readouterr().err
     assert f"{cfg}:3: {message}" in err
     assert list(tmp_path.iterdir()) == [Path(cfg)]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--plot-script", "x.gp"],  # not inputs: a stale command line fails, not loses its plot
+    ["--observable", "both"],
+    ["--del", "2"],  # a prefix of --delta: each input has one spelling, as in a file
+    ["--out", "x.csv"],  # a prefix of --output
+], ids=lambda extra: extra[0])
+def test_flag_outside_the_table_is_a_configuration_error(tmp_path, monkeypatch, capsys,
+                                                         extra):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--protocol", "none", "--t-end", "1", "--dt", "0.01", "-o", "x.csv",
+                 *extra]) == 1
+    assert capsys.readouterr().err == \
+        f"configuration error: unrecognized arguments: {' '.join(extra)}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 #: flags of a valid schedule per protocol; which of tau, t_end, n_pulses each takes
@@ -456,45 +459,14 @@ def test_config_file_is_utf8_whatever_the_locale(tmp_path):
     assert read_meta(out)["dt"] == "0.01"
 
 
-@pytest.mark.parametrize("name, quoted", [
-    ("a.csv", "'{dir}/a.csv'"),
-    ("it's.csv", "'{dir}/it''s.csv'"),  # gnuplot doubles a quote inside '...'
-])
-def test_plot_script_quotes_the_csv_path(tmp_path, name, quoted):
-    out, plot = tmp_path / name, tmp_path / "x.gp"
-    assert main(["--protocol", "none", "--t-end", "1", "--dt", "0.01", "-o", str(out),
-                 "--plot-script", str(plot)]) == 0
-    csv = quoted.format(dir=tmp_path)
-    assert plot.read_text(encoding="utf-8") == (
-        "set datafile separator ','\n"
-        "set xlabel 'omega'\n"
-        "set ylabel 'spectrum (arb. units)'\n"
-        "set key top right\n"
-        f"plot {csv} using 1:2 with lines title 'emission', "
-        f"{csv} using 1:4 with lines title 'net absorption'\n")
-
-
-def test_plot_script_names_the_csv_by_its_bytes_whatever_the_locale(tmp_path):
-    # under an ASCII locale the non-ASCII bytes reach argv surrogate-escaped
-    out = os.fsencode(tmp_path) + "/café.csv".encode()
-    plot = tmp_path / "x.gp"
-    proc = run_module(["--protocol", "none", "--t-end", "1", "--dt", "0.01", "-o", out,
-                       "--plot-script", str(plot)], LC_ALL="C", PYTHONUTF8="0")
-    assert proc.returncode == 0, proc.stderr
-    assert b"plot '" + out + b"' using 1:2 " in plot.read_bytes()
-    assert os.path.exists(out) and os.path.exists(out + b".meta")
-
-
 def test_config_file_paths_name_files_by_their_utf8_bytes_whatever_the_locale(tmp_path):
     # the file a config file's output= names is the one -o names with the same bytes
     cfg = write_config(tmp_path, f"protocol=none\nt_end=1\ndt=0.01\n"
-                                 f"output={tmp_path}/café.csv\nplot_script={tmp_path}/é.gp\n")
+                                 f"output={tmp_path}/café.csv\n")
     proc = run_module(["--config", cfg], LC_ALL="C", PYTHONUTF8="0")
     assert proc.returncode == 0, proc.stderr
-    out, plot = (os.fsencode(tmp_path) + name.encode() for name in ("/café.csv", "/é.gp"))
+    out = os.fsencode(tmp_path) + "/café.csv".encode()
     assert os.path.exists(out) and os.path.exists(out + b".meta")
-    with open(plot, "rb") as f:
-        assert b"plot '" + out + b"' using 1:2 " in f.read()
 
 
 @pytest.mark.parametrize("flags, text", [
@@ -520,7 +492,7 @@ def test_meta_round_trip_with_warnings(tmp_path, capsys):
 
     config = parse_config(argv)
     schedule, params, omega, _ = config.validate()
-    assert meta["protocol"] == "uhrig" and meta["observable"] == "both"
+    assert meta["protocol"] == "uhrig"
     assert int(meta["n_pulses"]) == 4 and meta["tau"] == ""
     for key in ("delta", "gamma", "dt", "omega_min", "omega_max", "omega_step"):
         assert float(meta[key]) == getattr(config, key)

@@ -1,10 +1,10 @@
 """Every function in ``src/pulsespec`` is reached from the command line.
 
 Code that only the tests reach belongs in the tests. The probe runs
-``cli.main`` on each protocol, a detuning average, a config file, a plot
-script and a bad flag under ``sys.setprofile``, and lists every function
-and method defined under ``src/pulsespec`` that no call entered. The
-functions the benchmark's spans wrap (``pulsebench/spans.py``) must exist.
+``cli.main`` on each protocol, a detuning average, a config file and a
+bad flag under ``sys.setprofile``, and lists every function and method
+defined under ``src/pulsespec`` that no call entered. The functions the
+benchmark's spans wrap (``pulsebench/spans.py``) must exist.
 """
 
 import importlib
@@ -60,8 +60,7 @@ def run_cli(tmp_path):
         ["--protocol", "pxpy", "--n-pulses", "4", "--tau", "0.25"],
         ["--protocol", "pz", "--n-pulses", "4", "--tau", "0.25",
          "--average-deltas=0:0.5,2:0.5"],
-        ["--protocol", "uhrig", "--n-pulses", "5", "--t-end", "1", "--delta", "2",
-         "--plot-script", str(tmp_path / "x.gp")],
+        ["--protocol", "uhrig", "--n-pulses", "5", "--t-end", "1", "--delta", "2"],
     ]
     # every run here shares one grid; a fresh process builds its transform plan
     spectra._plan.cache_clear()
