@@ -1,13 +1,11 @@
 """Batch front-end: configure a run, execute the pipeline, write results.
 
-Configuration comes from command-line flags, optionally layered on top of a
-plain ``key=value`` file (a ``#`` at the start of a line or after whitespace
-starts a comment); flags win. Results go to a CSV (one row per frequency)
-with a ``<output>.meta`` sidecar recording every resolved parameter, the
-emission sum rule on every grid (single runs and averages alike), the
-kernel and transform methods, the warnings raised, the problem sizes and
-the package and numpy versions. ``python -m pulsespec``, ``python -m
-pulsespec.cli`` and the ``pulsespec`` console script run the same ``main``.
+Configuration comes from command-line flags only. Results go to a CSV (one
+row per frequency) with a ``<output>.meta`` sidecar recording every resolved
+parameter, the emission sum rule on every grid (single runs and averages
+alike), the kernel and transform methods, the warnings raised, the problem
+sizes and the package and numpy versions. ``python -m pulsespec``, ``python
+-m pulsespec.cli`` and the ``pulsespec`` console script run the same ``main``.
 
 Every CSV value is written exactly as ``"%.11e" % x`` writes it. The text
 of the whole table is built in a few numpy passes (``_format_e11``); ``%``
@@ -22,7 +20,6 @@ import argparse
 import contextlib
 import functools
 import os
-import re
 import sys
 import warnings
 from collections.abc import Iterator
@@ -47,8 +44,7 @@ _PERIODIC = {"px": [PulseAxis.X], "pxpy": [PulseAxis.X, PulseAxis.Y],
 CSV_HEADER = "omega,emission,direct_absorption,net_absorption"
 
 #: RunConfig field -> argparse keywords of its flag, one entry per run input.
-#: The flag is ``--name`` with '-' for '_', and the config-file key is the
-#: field name; ``output_path`` is ``--output``/``-o`` and ``output``.
+#: The flag is ``--name`` with '-' for '_'; ``output_path`` is ``--output``/``-o``.
 _FLAGS = {
     "protocol": dict(choices=PROTOCOLS),
     "delta": dict(type=float),
@@ -64,8 +60,6 @@ _FLAGS = {
     "average_deltas": dict(metavar="D:W,D:W,...",
                            help="detuning:weight pairs for ensemble averaging"),
 }
-#: config-file key -> RunConfig field
-_KEYS = {("output" if field == "output_path" else field): field for field in _FLAGS}
 
 
 class ConfigError(ValueError):
@@ -151,9 +145,8 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> _Parser:
-    """The parser of ``--config`` and of one flag per ``_FLAGS`` entry, default None."""
+    """The parser of one flag per ``_FLAGS`` entry, default None."""
     p = _Parser(prog="pulsespec", add_help=True, allow_abbrev=False, description=__doc__)
-    p.add_argument("--config", metavar="FILE", help="key=value configuration file")
     for field, kwargs in _FLAGS.items():
         flags = ["--" + field.replace("_", "-")] if field != "output_path" else ["--output", "-o"]
         p.add_argument(*flags, dest=field, **kwargs)
@@ -178,49 +171,12 @@ def _parse_average(text: str) -> list[tuple[float, float]]:
     return pairs
 
 
-def _read_config_file(path: str) -> dict:
-    """Values of a UTF-8 key=value file, by RunConfig field (keys as ``_KEYS``)."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            # a byte-order mark is dropped after decoding, so an offset below counts it
-            text = f.read().removeprefix("\ufeff")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    values = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        # a '#' at the start of a line or after whitespace starts a comment
-        line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        field = _KEYS[key]
-        if field == "output_path":  # the file a flag of these bytes names
-            value = os.fsdecode(value.encode("utf-8"))
-        try:
-            values[field] = _FLAGS[field].get("type", str)(value)
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: {key}: cannot parse {value!r}") from None
-    return values
-
-
 def parse_config(args: list[str]) -> RunConfig:
-    """Resolve, not validate, a RunConfig: the ``--config`` file's values, then the flags given.
-
-    A flag wins over the file's value of the same input.
-    """
-    ns = vars(_build_parser().parse_args(args))
-    merged = _read_config_file(ns["config"]) if ns["config"] else {}
-    merged.update((field, ns[field]) for field in _FLAGS if ns[field] is not None)
-    if "average_deltas" in merged:
-        merged["average_deltas"] = _parse_average(merged["average_deltas"])
-    return RunConfig(**merged)
+    """Resolve, not validate, a RunConfig from the flags given."""
+    given = {k: v for k, v in vars(_build_parser().parse_args(args)).items() if v is not None}
+    if "average_deltas" in given:
+        given["average_deltas"] = _parse_average(given["average_deltas"])
+    return RunConfig(**given)
 
 
 #: the four ASCII digits of 0..9999 as uint8 rows, by broadcasting (no division)

@@ -1,6 +1,5 @@
-"""Command-line front-end: exit codes, config layering, .meta, ``python -m``."""
+"""Command-line front-end: exit codes, the flag table, .meta, ``python -m``."""
 
-import errno
 import os
 import subprocess
 import sys
@@ -199,69 +198,12 @@ def test_existing_outputs_are_overwritten(tmp_path):
     assert read_meta(out)["protocol"] == "none"
 
 
-def write_config(tmp_path, text):
-    path = tmp_path / "run.cfg"
-    path.write_text(text, encoding="utf-8")
-    return str(path)
-
-
-def test_config_file_on_its_own(tmp_path):
-    out = tmp_path / "f.csv"
-    cfg = write_config(tmp_path, f"protocol=pz\ntau=0.2\nn_pulses=3\n"
-                                 f"delta=1.5\ndt=0.01\noutput={out}\n")
-    config = parse_config(["--config", cfg])
-    assert (config.protocol, config.tau, config.n_pulses) == ("pz", 0.2, 3)
-    assert (config.delta, config.dt, config.output_path) == (1.5, 0.01, str(out))
-    assert main(["--config", cfg]) == 0
-    assert read_meta(out)["protocol"] == "pz"
-
-
-def test_flag_overrides_file_value(tmp_path):
-    cfg = write_config(tmp_path, "protocol=none\nt_end=1\ndelta=1.5\n"
-                                 "output=a.csv\n")
-    config = parse_config(["--config", cfg, "--delta", "-2", "-o", "b.csv"])
-    assert config.delta == -2.0 and config.output_path == "b.csv"
-    assert config.t_end == 1.0
-
-
-def test_config_comments_and_output_key(tmp_path):
-    cfg = write_config(tmp_path, "# free decay\n\nprotocol=none  # no pulses\n"
-                                 "t_end = 2 # window\noutput = run.csv\n")
-    config = parse_config(["--config", cfg])
-    assert (config.protocol, config.t_end) == ("none", 2.0)
-    assert config.output_path == "run.csv"
-
-
-def test_hash_inside_a_config_value_is_kept(tmp_path, monkeypatch):
-    # a '#' starts a comment only at the start of a line or after whitespace
-    monkeypatch.chdir(tmp_path)
-    cfg = write_config(tmp_path, "protocol=none\nt_end=1\ndt=0.01 # coarse\n"
-                                 "output=run#1.csv\n")
-    assert parse_config(["--config", cfg]).output_path == "run#1.csv"
-    assert main(["--config", cfg]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["run#1.csv", "run#1.csv.meta",
-                                                          "run.cfg"]
-
-
-@pytest.mark.parametrize("line, message", [
-    ("colour=blue", "unknown key 'colour'"),
-    ("plot_script=x.gp", "unknown key 'plot_script'"),  # not inputs: a stale file fails
-    ("observable=both", "unknown key 'observable'"),
-    ("delta=fast", "delta: cannot parse 'fast'"),
-])
-def test_bad_config_line_names_its_place(tmp_path, capsys, line, message):
-    cfg = write_config(tmp_path, f"# header\nprotocol=none\n{line}\nt_end=1\n")
-    assert main(["--config", cfg, "-o", str(tmp_path / "x.csv")]) == 1
-    err = capsys.readouterr().err
-    assert f"{cfg}:3: {message}" in err
-    assert list(tmp_path.iterdir()) == [Path(cfg)]
-
-
 @pytest.mark.parametrize("extra", [
     ["--plot-script", "x.gp"],  # not inputs: a stale command line fails, not loses its plot
     ["--observable", "both"],
-    ["--del", "2"],  # a prefix of --delta: each input has one spelling, as in a file
+    ["--del", "2"],  # a prefix of --delta: each input has one spelling
     ["--out", "x.csv"],  # a prefix of --output
+    ["--config", "run.cfg"],  # run inputs come from flags only: a stale file fails
 ], ids=lambda extra: extra[0])
 def test_flag_outside_the_table_is_a_configuration_error(tmp_path, monkeypatch, capsys,
                                                          extra):
@@ -300,28 +242,29 @@ def schedule_input_cases():
             argv = ["--protocol", protocol, "-o", "{out}"]
             for key, value in values.items():
                 argv += ["--" + key.replace("_", "-"), value]
-            yield pytest.param(argv, None, message, id=f"{protocol}-{name}")
-    yield pytest.param(["--t-end", "1", "-o", "{out}"], None, "protocol: required",
+            yield pytest.param(argv, message, id=f"{protocol}-{name}")
+    yield pytest.param(["--t-end", "1", "-o", "{out}"], "protocol: required",
                        id="protocol-flag")
-    yield pytest.param([], "t_end=1\noutput={out}\n", "protocol: required", id="protocol-file")
-    yield pytest.param(["--protocol", "none", "--t-end", "1"], None, "output: required",
+    yield pytest.param(["--protocol", "none", "--t-end", "1"], "output: required",
                        id="output-flag")
-    yield pytest.param([], "protocol=none\nt_end=1\n", "output: required", id="output-file")
-    yield pytest.param([], "protocol=bogus\nt_end=1\noutput={out}\n",
-                       "protocol: must be one of none/px/pxpy/pz/uhrig, got 'bogus'",
-                       id="protocol-unknown-file")
 
 
-@pytest.mark.parametrize("argv, file_text, message", schedule_input_cases())
+@pytest.mark.parametrize("argv, message", schedule_input_cases())
 def test_missing_or_extra_run_input_is_a_configuration_error(tmp_path, capsys, argv,
-                                                             file_text, message):
+                                                             message):
     out = str(tmp_path / "x.csv")
-    argv = [a.format(out=out) for a in argv]
-    if file_text is not None:
-        argv += ["--config", write_config(tmp_path, file_text.format(out=out))]
-    assert main(argv) == 1
+    assert main([a.format(out=out) for a in argv]) == 1
     assert capsys.readouterr().err == f"configuration error: {message}\n"
-    assert [p.name for p in tmp_path.iterdir()] == ([] if file_text is None else ["run.cfg"])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unknown_protocol_is_a_configuration_error(tmp_path):
+    # the flag's choices reject it before validate, which checks a RunConfig built in code
+    config = cli.RunConfig(protocol="bogus", t_end=1.0, output_path=str(tmp_path / "x.csv"))
+    with pytest.raises(cli.ConfigError) as exc:
+        config.validate()
+    assert str(exc.value) == "protocol: must be one of none/px/pxpy/pz/uhrig, got 'bogus'"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_help_lists_a_flag_per_run_input(capsys):
@@ -333,7 +276,7 @@ def test_help_lists_a_flag_per_run_input(capsys):
     words = set(capsys.readouterr().out.split())
     flags = ["--output" if name == "output_path" else "--" + name.replace("_", "-")
              for name in cli._FLAGS]
-    assert {"--config", "-o", *flags} <= words
+    assert {"-o", *flags} <= words and "--config" not in words
 
 
 def test_csv_text_is_the_per_value_format(tmp_path):
@@ -409,66 +352,6 @@ def test_format_of_spectrum_like_tables():
     assert_formats_like_percent(np.column_stack([omega, *peaks]))
 
 
-@pytest.mark.parametrize("name, reason", [
-    ("nope.cfg", os.strerror(errno.ENOENT)),
-    ("cfg_dir", os.strerror(errno.EISDIR)),
-], ids=["missing", "directory"])
-def test_unreadable_config_file_is_a_configuration_error(tmp_path, capsys,
-                                                         name, reason):
-    cfg = tmp_path / name
-    if name == "cfg_dir":
-        cfg.mkdir()
-    out = tmp_path / "x.csv"
-    assert main(["--protocol", "none", "--config", str(cfg), "-o", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == f"configuration error: cannot read {cfg}: {reason}\n"
-    assert [p.name for p in tmp_path.iterdir()] == ([name] if cfg.exists() else [])
-
-
-def test_undecodable_config_file_is_a_configuration_error(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_bytes(b"protocol=none\nt_end=1\n# caf\xe9 (Latin-1)\n")
-    assert main(["--config", str(cfg), "-o", str(tmp_path / "x.csv")]) == 1
-    assert capsys.readouterr().err == (
-        f"configuration error: {cfg}: not UTF-8 text (invalid continuation byte at byte 27)\n")
-    assert list(tmp_path.iterdir()) == [cfg]
-
-
-def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
-    cfg = tmp_path / "bom.cfg"
-    cfg.write_bytes(b"\xef\xbb\xbfprotocol=none\nt_end=1\ndt=0.01\n")
-    out = tmp_path / "x.csv"
-    assert main(["--config", str(cfg), "-o", str(out)]) == 0
-    assert read_meta(out)["protocol"] == "none"
-
-
-def test_undecodable_config_file_after_a_byte_order_mark(tmp_path, capsys):
-    # the offset counts the file's bytes, the mark's three included
-    cfg = tmp_path / "run.cfg"
-    cfg.write_bytes(b"\xef\xbb\xbfprotocol=none\n# caf\xe9\n")
-    assert main(["--config", str(cfg), "-o", str(tmp_path / "x.csv")]) == 1
-    assert capsys.readouterr().err == (
-        f"configuration error: {cfg}: not UTF-8 text (invalid continuation byte at byte 22)\n")
-
-
-def test_config_file_is_utf8_whatever_the_locale(tmp_path):
-    cfg = write_config(tmp_path, "protocol=none\nt_end=1\ndt=0.01  # café\n")
-    out = tmp_path / "x.csv"
-    proc = run_module(["--config", cfg, "-o", str(out)], LC_ALL="C", PYTHONUTF8="0")
-    assert proc.returncode == 0, proc.stderr
-    assert read_meta(out)["dt"] == "0.01"
-
-
-def test_config_file_paths_name_files_by_their_utf8_bytes_whatever_the_locale(tmp_path):
-    # the file a config file's output= names is the one -o names with the same bytes
-    cfg = write_config(tmp_path, f"protocol=none\nt_end=1\ndt=0.01\n"
-                                 f"output={tmp_path}/café.csv\n")
-    proc = run_module(["--config", cfg], LC_ALL="C", PYTHONUTF8="0")
-    assert proc.returncode == 0, proc.stderr
-    out = os.fsencode(tmp_path) + "/café.csv".encode()
-    assert os.path.exists(out) and os.path.exists(out + b".meta")
-
-
 @pytest.mark.parametrize("flags, text", [
     ([], "0"),
     (["--delta=-0.0"], "-0"),
@@ -540,7 +423,8 @@ def test_meta_of_a_detuning_average(tmp_path, capsys):
     kern = accumulate_kernel(schedule, params, [0.0, 1.0], [0.5, 0.5])
     spec = spectrum_from_kernel(kern, omega)
     lhs, rhs = float(meta["sum_rule_lhs"]), float(meta["sum_rule_rhs"])
-    assert (lhs, rhs) == emission_sum_rule(spec)
+    with pytest.warns(UserWarning, match=r"emission sum rule off by 10\.1%"):
+        assert (lhs, rhs) == emission_sum_rule(spec)
     note = f"emission sum rule off by {abs(lhs / rhs - 1):.1%}"
     assert abs(lhs / rhs - 1) > 0.10
     assert note in meta["warnings"] and f"warning: {note}" in capsys.readouterr().err
@@ -582,15 +466,9 @@ def test_run_inputs_are_built_once_per_main(tmp_path, monkeypatch, average):
     assert sorted(calls) == sorted(builds)
 
 
-@pytest.mark.parametrize("where", ["flag", "file"])
-def test_delta_with_average_deltas_is_a_configuration_error(tmp_path, capsys, where):
+def test_delta_with_average_deltas_is_a_configuration_error(tmp_path, capsys):
     out = tmp_path / "a.csv"
-    argv = [*AVERAGE, "-o", str(out)]
-    if where == "flag":
-        argv += ["--delta", "7"]
-    else:
-        argv += ["--config", write_config(tmp_path, "delta=7\n")]
-    assert main(argv) == 1
+    assert main([*AVERAGE, "-o", str(out), "--delta", "7"]) == 1
     assert capsys.readouterr().err == \
         "configuration error: delta: not applicable with average_deltas\n"
     assert not out.exists() and not (tmp_path / "a.csv.meta").exists()

@@ -1,5 +1,6 @@
 """Regression rows and the triangle reduction to theta kernels."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -395,9 +396,11 @@ class TestKernelAgainstOracles:
         sched, params, _ = self.dense_run()
         deltas, weights = [-1.5, 0.5, 4.0], [0.3, 0.0, 0.7]
         grid = default_omega_grid()
-        avg = detuning_average(sched, params, deltas, weights, grid)
-        for got, want in zip((avg.emission, avg.direct_absorption),
-                             per_detuning_average(sched, params, deltas, weights, grid)):
+        # dt = 0.1: the grid reaches past pi/dt = 31.4
+        with pytest.warns(UserWarning, match="past the Nyquist frequency"):
+            avg = detuning_average(sched, params, deltas, weights, grid)
+            wants = per_detuning_average(sched, params, deltas, weights, grid)
+        for got, want in zip((avg.emission, avg.direct_absorption), wants):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_never_builds_the_trajectory(self, monkeypatch):
@@ -624,9 +627,12 @@ class TestDetuningMixture:
     def test_average_matches_per_detuning_runs(self, run):
         sched, params, deltas, weights = run
         grid = default_omega_grid()
-        avg = detuning_average(sched, params, deltas, weights, grid)
-        for got, want in zip((avg.emission, avg.direct_absorption),
-                             per_detuning_average(sched, params, deltas, weights, grid)):
+        aliased = grid[-1] > np.pi / params.dt  # dt = 0.1 or 0.25: pi/dt < 40
+        with (pytest.warns(UserWarning, match="past the Nyquist frequency") if aliased
+              else contextlib.nullcontext()):
+            avg = detuning_average(sched, params, deltas, weights, grid)
+            wants = per_detuning_average(sched, params, deltas, weights, grid)
+        for got, want in zip((avg.emission, avg.direct_absorption), wants):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_zero_weights_are_not_computed(self, monkeypatch):

@@ -93,7 +93,9 @@ class TestSpectrumFromKernel:
         n = params.n_steps + 1
         kern = CorrelationKernel(g1=np.zeros(n, complex), g2=np.zeros(n, complex),
                                  params=params, schedule_digest="zero")
-        spec = spectrum_from_kernel(kern, GRID)
+        # dt = 0.1: the grid reaches past pi/dt = 31.4
+        with pytest.warns(UserWarning, match="past the Nyquist frequency"):
+            spec = spectrum_from_kernel(kern, GRID)
         assert np.all(spec.emission == 0.0)
         assert np.all(spec.net_absorption == 0.0)
 
@@ -164,7 +166,13 @@ class TestSpectrumFromKernel:
     def test_matches_dense_sum_on_random_grids(self, start, step, size):
         params = SimParams(gamma=2.0, t_end=2.4, dt=1e-2)
         kern = accumulate_kernel(PAPER_SCHEDULES["uhrig"], params, [3.0], [1.0])
-        assert_matches_dense(kern, start + np.arange(size) * step)
+        omega = start + np.arange(size) * step
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert_matches_dense(kern, omega)
+        # the transform warns exactly when the grid reaches past pi/dt
+        assert all("past the Nyquist frequency" in str(w.message) for w in seen)
+        assert len(seen) == (max(-omega[0], omega[-1]) > np.pi / params.dt)
 
     def test_mirror_symmetry_under_detuning_flip_z_train(self):
         # P at detuning d equals P at -d reflected in omega
@@ -391,7 +399,9 @@ class TestSumRule:
         n = params.n_steps + 1
         kern = CorrelationKernel(g1=np.zeros(n, complex), g2=np.zeros(n, complex),
                                  params=params, schedule_digest="zero")
-        spec = spectrum_from_kernel(kern, GRID)
+        # dt = 0.1: the grid reaches past pi/dt = 31.4
+        with pytest.warns(UserWarning, match="past the Nyquist frequency"):
+            spec = spectrum_from_kernel(kern, GRID)
         assert emission_sum_rule(spec) == (0.0, 0.0)
 
     @pytest.mark.parametrize("grid", [(-10.0, 10.0, 0.025), (-40.0, 40.0, 0.5)],
@@ -418,7 +428,8 @@ class TestSumRule:
         params = SimParams(gamma=2.0, t_end=0.6, dt=1e-3)
         kern = accumulate_kernel(sched, params, [3.0], [1.0])
         spec = spectrum_from_kernel(kern, GRID)
-        with pytest.warns(UserWarning, match="widen"):
+        with (pytest.warns(UserWarning, match="widen"),
+              pytest.warns(UserWarning, match=r"emission sum rule off by 15\.4%")):
             emission_sum_rule(spec)
 
     def test_notes_a_miss_above_ten_percent_after_the_edge_warning(self, free_decay):

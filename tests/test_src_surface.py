@@ -1,10 +1,10 @@
 """Every function in ``src/pulsespec`` is reached from the command line.
 
 Code that only the tests reach belongs in the tests. The probe runs
-``cli.main`` on each protocol, a detuning average, a config file and a
-bad flag under ``sys.setprofile``, and lists every function and method
-defined under ``src/pulsespec`` that no call entered. The functions the
-benchmark's spans wrap (``pulsebench/spans.py``) must exist.
+``cli.main`` on each protocol, a detuning average and a bad flag under
+``sys.setprofile``, and lists every function and method defined under
+``src/pulsespec`` that no call entered. The functions the benchmark's spans
+wrap (``pulsebench/spans.py``) must exist.
 """
 
 import importlib
@@ -65,9 +65,6 @@ def run_cli(tmp_path):
     # every run here shares one grid; a fresh process builds its transform plan
     spectra._plan.cache_clear()
     codes = [cli.main(argv + grid) for argv in runs]
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("protocol=none\nt_end=1\ndt=0.01\n")
-    codes.append(cli.main(["--config", str(cfg), "-o", out]))
     codes.append(cli.main(["--protocol", "none", "--colour", "blue", "-o", out]))
     return codes
 
@@ -87,7 +84,7 @@ def test_every_src_function_is_reached_from_the_cli(tmp_path, capsys):
     finally:
         sys.setprofile(previous)
     capsys.readouterr()
-    assert codes == [0] * 6 + [1]
+    assert codes == [0] * 5 + [1]
     unreached = {name for code, name in functions.items() if code not in reached}
     assert unreached == NOT_ON_THE_CLI_PATH
 
